@@ -1,7 +1,7 @@
-//! Seeded property tests for the parallel planner (PR 5): on random
-//! cyclic queries, the parallel width sweep must agree exactly — width
-//! and count — with the `CQCOUNT_THREADS=1` sequential reference and with
-//! brute-force enumeration.
+//! Seeded property tests for the planner: on random queries, counting
+//! through the width sweep's witness must agree with brute-force
+//! enumeration, at any pool size the *counting* stage runs on (planning
+//! itself is single-lane and makes no pool calls).
 //!
 //! Gated behind `exhaustive-tests` (they decompose and brute-force dozens
 //! of random instances): `cargo test -p cqcount-core --features
@@ -14,26 +14,6 @@ use cqcount_exec::with_threads;
 use cqcount_workloads::random::{
     random_cyclic_query, random_database, random_query, RandomCqConfig, RandomDbConfig,
 };
-
-#[test]
-fn parallel_width_sweep_matches_sequential_reference() {
-    for atoms in [8usize, 10, 12] {
-        for seed in 0..8u64 {
-            let q = random_cyclic_query(atoms, seed);
-            let seq = with_threads(1, || {
-                WidthSearch::new(&q)
-                    .find_up_to(4)
-                    .map(|(k, sd)| (k, sd.hypertree.chi.clone(), sd.hypertree.lambda.clone()))
-            });
-            let par = with_threads(8, || {
-                WidthSearch::new(&q)
-                    .find_up_to(4)
-                    .map(|(k, sd)| (k, sd.hypertree.chi.clone(), sd.hypertree.lambda.clone()))
-            });
-            assert_eq!(seq, par, "atoms = {atoms}, seed = {seed}");
-        }
-    }
-}
 
 #[test]
 fn counts_through_either_witness_match_brute_force() {
@@ -56,20 +36,19 @@ fn counts_through_either_witness_match_brute_force() {
         }
         let db = random_database(&q, &dbcfg, seed ^ 0xdead);
         let expected = count_brute_force(&q, &db);
+        let Some((_, sd)) = WidthSearch::new(&q).find_up_to(3) else {
+            continue;
+        };
+        decomposed += 1;
         for threads in [1usize, 8] {
-            let got = with_threads(threads, || {
-                WidthSearch::new(&q)
-                    .find_up_to(3)
-                    .map(|(_, sd)| count_with_decomposition(&sd.qprime, &db, &sd.hypertree))
+            let n = with_threads(threads, || {
+                count_with_decomposition(&sd.qprime, &db, &sd.hypertree)
             });
-            if let Some(n) = got {
-                decomposed += 1;
-                assert_eq!(n, expected, "seed = {seed}, threads = {threads}");
-            }
+            assert_eq!(n, expected, "seed = {seed}, threads = {threads}");
         }
     }
     assert!(
-        decomposed > 20,
+        decomposed > 10,
         "too few decomposable instances: {decomposed}"
     );
 }

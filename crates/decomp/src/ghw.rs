@@ -16,7 +16,7 @@
 //! priority order — connected λ-sets before disconnected, large bags before
 //! small, few resources before many — and takes the *first* witness, so
 //! materializing and sorting all `Σ 2^f` bags up front (the pre-PR-5
-//! engine, kept as [`ghw_at_most_eager`]) wastes almost all of that work.
+//! engine, kept as this module's test oracle) wastes almost all of that work.
 //! [`UnionSpace`] instead streams each universe's subsets in descending
 //! size via Gosper's hack (fixed-popcount masks in ascending numeric
 //! order) and merges the per-universe streams through a binary heap whose
@@ -32,15 +32,13 @@
 //! at `k+1` are refuted again without expanding any bags (see
 //! `tp`'s module docs and DESIGN.md §Planner for the soundness argument).
 
-use crate::tp::{
-    decompose, BlockCandidates, Candidate, CandidateSource, Engine, FxHasher, SearchStats,
-};
+use crate::tp::{BlockCandidates, Candidate, CandidateSource, Engine, FxHasher, SearchStats};
 use crate::Hypertree;
 use cqcount_hypergraph::{Hypergraph, NodeSet};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// All `k`-element index combinations of `0..n` for `k ≤ max_k`.
 pub(crate) fn combinations_upto(n: usize, max_k: usize) -> Vec<Vec<usize>> {
@@ -110,7 +108,7 @@ pub struct UnionSpace {
     /// The size-`k` combos, kept to generate the next layer.
     last_layer: Vec<Vec<usize>>,
     k: usize,
-    universes_opened: AtomicU64,
+    universes_opened: Cell<u64>,
 }
 
 impl UnionSpace {
@@ -122,7 +120,7 @@ impl UnionSpace {
             disc_order: Vec::new(),
             last_layer: vec![Vec::new()],
             k: 0,
-            universes_opened: AtomicU64::new(0),
+            universes_opened: Cell::new(0),
         }
     }
 
@@ -133,12 +131,10 @@ impl UnionSpace {
 
     /// Candidate universes opened (deduped per-block avail sets), total.
     pub fn universes_opened(&self) -> u64 {
-        self.universes_opened.load(Ordering::Relaxed)
+        self.universes_opened.get()
     }
 
-    /// Extends the space with combo layers up to size `k`. The per-combo
-    /// union + connectivity analysis is embarrassingly parallel and pays
-    /// for itself once `C(n, k)` gets into the thousands.
+    /// Extends the space with combo layers up to size `k`.
     pub fn extend_to(&mut self, k: usize) {
         let n = self.resources.len();
         while self.k < k {
@@ -154,18 +150,16 @@ impl UnionSpace {
                     })
                 })
                 .collect();
-            let analyzed: Vec<(NodeSet, bool)> = cqcount_exec::par_map(&layer, |combo| {
-                let mut u = NodeSet::new();
+            for combo in &layer {
+                let mut union = NodeSet::new();
                 for &i in combo {
-                    u.union_with(&self.resources[i]);
+                    union.union_with(&self.resources[i]);
                 }
                 // Connected λ-sets materialize as joins with shared
                 // columns; disconnected ones are cross products. Preferring
                 // connected combos does not affect completeness, only which
                 // witness is found first — and its evaluation cost.
-                (u, is_connected_combo(combo, &self.resources))
-            });
-            for (combo, (union, connected)) in layer.iter().zip(analyzed) {
+                let connected = is_connected_combo(combo, &self.resources);
                 let idx = self.entries.len() as u32;
                 self.entries.push(ComboEntry {
                     union,
@@ -342,7 +336,7 @@ impl CandidateSource for UnionSpace {
             avails.push(avail);
         }
         self.universes_opened
-            .fetch_add(unis.len() as u64, Ordering::Relaxed);
+            .set(self.universes_opened.get() + unis.len() as u64);
         let universe_hash = Some(universe_fingerprint(avails));
         let mut stream = LazyCandidates {
             conn: conn.clone(),
@@ -432,70 +426,6 @@ impl GhwSearch {
     }
 }
 
-/// Builds the pre-PR-5 eager candidate provider: materializes every
-/// candidate bag of every universe and sorts them globally. Kept as the
-/// benchmark baseline and as the ordering oracle for the lazy stream.
-fn eager_union_candidates(
-    resources: Vec<NodeSet>,
-    k: usize,
-) -> impl FnMut(&NodeSet, &NodeSet) -> Vec<Candidate> {
-    let all_combos = combinations_upto(resources.len(), k);
-    let mut combos: Vec<(NodeSet, Vec<usize>, bool)> =
-        cqcount_exec::par_map(&all_combos, |combo| {
-            let mut u = NodeSet::new();
-            for &i in combo {
-                u.union_with(&resources[i]);
-            }
-            let connected = is_connected_combo(combo, &resources);
-            (u, combo.clone(), connected)
-        });
-    combos.sort_by_key(|(_, combo, connected)| (!connected, combo.len()));
-    move |conn, comp| {
-        let allowed = conn.union(comp);
-        let mut seen: HashSet<NodeSet> = HashSet::new();
-        let mut kept: Vec<(NodeSet, &Vec<usize>, bool)> = Vec::new();
-        for (union, combo, connected) in &combos {
-            let avail = union.intersection(&allowed);
-            if !conn.is_subset(&avail) || !seen.insert(avail.clone()) {
-                continue;
-            }
-            kept.push((avail, combo, *connected));
-        }
-        let expanded = cqcount_exec::par_map(&kept, |(avail, combo, connected)| {
-            let free: Vec<u32> = avail.difference(conn).to_vec();
-            let mut out = Vec::new();
-            let mut keys = Vec::new();
-            if free.len() > MAX_ENUM_FREE {
-                let mut bag = conn.clone();
-                bag.union_with(avail);
-                keys.push((!*connected, Reverse(bag.len()), combo.len()));
-                out.push((bag, (*combo).clone()));
-                return (out, keys);
-            }
-            for mask in 1u32..(1u32 << free.len()) {
-                let mut bag = conn.clone();
-                for (j, &x) in free.iter().enumerate() {
-                    if mask & (1 << j) != 0 {
-                        bag.insert(x);
-                    }
-                }
-                keys.push((!*connected, Reverse(bag.len()), combo.len()));
-                out.push((bag, (*combo).clone()));
-            }
-            (out, keys)
-        });
-        let mut out = Vec::new();
-        let mut keys = Vec::new();
-        for (o, k) in expanded {
-            out.extend(o);
-            keys.extend(k);
-        }
-        let mut idx: Vec<usize> = (0..out.len()).collect();
-        idx.sort_by_key(|&i| keys[i]);
-        idx.into_iter().map(|i| out[i].clone()).collect()
-    }
-}
-
 /// Searches for a width-`k` generalized hypertree decomposition of `cover`
 /// using `resources` as the `λ`-candidates.
 ///
@@ -505,13 +435,6 @@ fn eager_union_candidates(
 /// covered by at most `k` resources.
 pub fn ghw_at_most(cover: &Hypergraph, resources: &[NodeSet], k: usize) -> Option<Hypertree> {
     GhwSearch::new(cover, resources).at_most(k)
-}
-
-/// The eager (materialize-and-sort) engine `ghw_at_most` used before the
-/// lazy streams landed. Identical witnesses, asymptotically more work per
-/// block; benchmark baseline only.
-pub fn ghw_at_most_eager(cover: &Hypergraph, resources: &[NodeSet], k: usize) -> Option<Hypertree> {
-    decompose(cover, eager_union_candidates(resources.to_vec(), k))
 }
 
 /// The exact generalized hypertree width of `cover` w.r.t. `resources`,
@@ -537,9 +460,69 @@ pub fn tree_projection(h1: &Hypergraph, h2: &Hypergraph) -> Option<Hypertree> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tp::decompose;
 
     fn h(edges: &[&[u32]]) -> Hypergraph {
         Hypergraph::from_edges(edges.iter().map(|e| e.iter().copied()))
+    }
+
+    /// The pre-PR-5 eager candidate provider: materializes every candidate
+    /// bag of every universe and stable-sorts them globally. The ordering
+    /// and witness oracle for the lazy stream.
+    fn eager_union_candidates(
+        resources: Vec<NodeSet>,
+        k: usize,
+    ) -> impl FnMut(&NodeSet, &NodeSet) -> Vec<Candidate> {
+        let mut combos: Vec<(NodeSet, Vec<usize>, bool)> = combinations_upto(resources.len(), k)
+            .into_iter()
+            .map(|combo| {
+                let mut u = NodeSet::new();
+                for &i in &combo {
+                    u.union_with(&resources[i]);
+                }
+                let connected = is_connected_combo(&combo, &resources);
+                (u, combo, connected)
+            })
+            .collect();
+        combos.sort_by_key(|(_, combo, connected)| (!connected, combo.len()));
+        move |conn, comp| {
+            let allowed = conn.union(comp);
+            let mut seen: HashSet<NodeSet> = HashSet::new();
+            let mut out = Vec::new();
+            for (union, combo, connected) in &combos {
+                let avail = union.intersection(&allowed);
+                if !conn.is_subset(&avail) || !seen.insert(avail.clone()) {
+                    continue;
+                }
+                let mut push = |bag: NodeSet| {
+                    let key = (!*connected, Reverse(bag.len()), combo.len());
+                    out.push((key, (bag, combo.clone())));
+                };
+                let free: Vec<u32> = avail.difference(conn).to_vec();
+                if free.len() > MAX_ENUM_FREE {
+                    push(avail);
+                    continue;
+                }
+                for mask in 1u32..(1u32 << free.len()) {
+                    let mut bag = conn.clone();
+                    for (j, &x) in free.iter().enumerate() {
+                        if mask & (1 << j) != 0 {
+                            bag.insert(x);
+                        }
+                    }
+                    push(bag);
+                }
+            }
+            // Stable: ties keep materialization order.
+            out.sort_by_key(|(key, _)| *key);
+            out.into_iter().map(|(_, cand)| cand).collect()
+        }
+    }
+
+    /// The eager (materialize-and-sort) engine `ghw_at_most` used before
+    /// the lazy streams landed: identical witnesses, more work per block.
+    fn ghw_at_most_eager(cover: &Hypergraph, resources: &[NodeSet], k: usize) -> Option<Hypertree> {
+        decompose(cover, eager_union_candidates(resources.to_vec(), k))
     }
 
     #[test]
@@ -693,9 +676,10 @@ mod tests {
         assert!(s.at_most(2).is_some());
     }
 
-    /// Parallel and sequential sweeps agree bag-for-bag on the paper's Q0.
+    /// The lazy sweep and the eager oracle agree bag-for-bag on the paper's
+    /// Q0.
     #[test]
-    fn parallel_sweep_is_deterministic() {
+    fn lazy_witness_matches_eager_oracle() {
         let g = h(&[
             &[0, 1, 8],
             &[1, 3],
@@ -707,14 +691,9 @@ mod tests {
             &[5, 7],
             &[3, 7],
         ]);
-        let seq = cqcount_exec::with_threads(1, || ghw_exact(&g, g.edges(), 3)).unwrap();
-        let par = cqcount_exec::with_threads(8, || ghw_exact(&g, g.edges(), 3)).unwrap();
-        assert_eq!(seq.0, par.0);
-        assert_eq!(seq.1.chi, par.1.chi);
-        assert_eq!(seq.1.lambda, par.1.lambda);
-        // …and both match the eager oracle's witness.
-        let eager = ghw_at_most_eager(&g, g.edges(), seq.0).unwrap();
-        assert_eq!(seq.1.chi, eager.chi);
-        assert_eq!(seq.1.lambda, eager.lambda);
+        let (width, lazy) = ghw_exact(&g, g.edges(), 3).unwrap();
+        let eager = ghw_at_most_eager(&g, g.edges(), width).unwrap();
+        assert_eq!(lazy.chi, eager.chi);
+        assert_eq!(lazy.lambda, eager.lambda);
     }
 }

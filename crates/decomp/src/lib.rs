@@ -33,7 +33,7 @@ pub mod treedec;
 pub mod weighted;
 
 pub use fractional::{fractional_edge_cover_number, fractional_hypertree_width_at_most};
-pub use ghw::{ghw_at_most, ghw_at_most_eager, ghw_exact, tree_projection, GhwSearch, UnionSpace};
+pub use ghw::{ghw_at_most, ghw_exact, tree_projection, GhwSearch, UnionSpace};
 pub use hd::{d_optimal_decomposition, hypertree_width_at_most, hypertree_width_exact};
 pub use jointree::Hypertree;
 pub use tp::{decompose, BlockCandidates, Candidate, CandidateSource, Engine, SearchStats};

@@ -54,20 +54,20 @@ impl JoinKernel {
 #[derive(Clone, Copy)]
 enum RowsView<'a> {
     Boxed(&'a [Tuple]),
-    Flat { values: &'a [Value], arity: usize },
+    /// `rows` is the relation's own count: a nullary page has no values
+    /// whether it holds the empty tuple or nothing.
+    Flat {
+        values: &'a [Value],
+        arity: usize,
+        rows: usize,
+    },
 }
 
 impl<'a> RowsView<'a> {
     fn len(&self) -> usize {
         match self {
             RowsView::Boxed(rows) => rows.len(),
-            RowsView::Flat { values, arity } => {
-                if *arity == 0 {
-                    usize::from(!values.is_empty())
-                } else {
-                    values.len() / arity
-                }
-            }
+            RowsView::Flat { rows, .. } => *rows,
         }
     }
 
@@ -75,7 +75,7 @@ impl<'a> RowsView<'a> {
     fn get(&self, row: usize, pos: usize) -> Value {
         match self {
             RowsView::Boxed(rows) => rows[row][pos],
-            RowsView::Flat { values, arity } => values[row * arity + pos],
+            RowsView::Flat { values, arity, .. } => values[row * arity + pos],
         }
     }
 }
@@ -112,6 +112,7 @@ impl<'a> WcojInput<'a> {
             rows: RowsView::Flat {
                 values,
                 arity: rel.arity(),
+                rows: rel.len(),
             },
             cols,
         })

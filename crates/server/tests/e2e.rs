@@ -396,3 +396,33 @@ fn width_report_and_error_paths() {
 
     handle.shutdown();
 }
+
+/// Plain cycles of 12–20 atoms plan cold on the default configuration: the
+/// block recursion is at most #variables deep, so long cycles are no harder
+/// for the daemon than short ones.
+#[test]
+fn long_plain_cycles_plan_cold_and_match_brute_force() {
+    const TRIANGLE: &str = "e(a,b). e(b,c). e(c,a).";
+    let db = parse_database(TRIANGLE).unwrap();
+    let handle = serve(ServerConfig::default(), vec![("main".into(), db)]).expect("bind loopback");
+    let mut c = connect(&handle);
+    c.flush().unwrap();
+
+    for (n, expected) in [(12usize, "3"), (14, "0"), (16, "0"), (20, "0")] {
+        let body: Vec<String> = (0..n)
+            .map(|i| format!("e(X{i}, X{})", (i + 1) % n))
+            .collect();
+        let text = format!("ans(X0, X1) :- {}.", body.join(", "));
+        let (q, db) = parse_program(&format!("{TRIANGLE}\n{text}")).unwrap();
+        let brute = count_brute_force(&q.unwrap(), &db).to_string();
+        assert_eq!(brute, expected, "n = {n}");
+
+        let reply = c.count("main", &text, 0).unwrap();
+        assert_eq!(reply.value, brute, "n = {n}");
+        assert_eq!(reply.cached, CacheTier::Cold, "n = {n}");
+    }
+    // The daemon survived every plan and still serves.
+    assert!(c.stats().unwrap().served >= 4);
+
+    handle.shutdown();
+}

@@ -43,6 +43,32 @@ fn span_names(node: &SpanNode, out: &mut Vec<String>) {
     }
 }
 
+fn find_span<'a>(node: &'a SpanNode, name: &str) -> Option<&'a SpanNode> {
+    if node.name == name {
+        return Some(node);
+    }
+    node.children.iter().find_map(|c| find_span(c, name))
+}
+
+/// Every child's `[start, start + duration]` interval lies inside its
+/// parent's, all the way down.
+fn assert_nested(node: &SpanNode) {
+    let end = node.start_ns + node.duration_ns;
+    for c in &node.children {
+        assert!(
+            c.start_ns >= node.start_ns && c.start_ns + c.duration_ns <= end,
+            "span {} [{}, +{}] escapes its parent {} [{}, +{}]",
+            c.name,
+            c.start_ns,
+            c.duration_ns,
+            node.name,
+            node.start_ns,
+            node.duration_ns
+        );
+        assert_nested(c);
+    }
+}
+
 #[test]
 fn profile_returns_the_span_tree_of_a_cold_count() {
     let handle = start(ServerConfig::default());
@@ -75,14 +101,18 @@ fn profile_returns_the_span_tree_of_a_cold_count() {
             "missing {expected} span"
         );
     }
-    assert!(
-        names.iter().any(|n| n == "plan.decompose"),
-        "a cold profile must show the decomposition search, got {names:?}"
-    );
-    for sub in ["plan.core", "plan.candidates", "plan.blocks"] {
+    let decompose = find_span(&cold.root, "plan.decompose").unwrap_or_else(|| {
+        panic!("a cold profile must show the decomposition search, got {names:?}")
+    });
+    for sub in [
+        "plan.core",
+        "plan.candidates",
+        "plan.blocks",
+        "plan.witness",
+    ] {
         assert!(
-            names.iter().any(|n| n == sub),
-            "a cold profile must show the {sub} planner sub-span, got {names:?}"
+            find_span(decompose, sub).is_some(),
+            "plan.decompose must hold the {sub} planner sub-span, got {names:?}"
         );
     }
     assert!(
@@ -90,48 +120,20 @@ fn profile_returns_the_span_tree_of_a_cold_count() {
         "a cold profile must show the counting rung, got {names:?}"
     );
 
-    // The top-level stages should account for (nearly) the whole request:
-    // the root's only other work is span bookkeeping itself.
-    let direct: u64 = cold.root.children.iter().map(|c| c.duration_ns).sum();
-    assert!(
-        direct as f64 >= 0.60 * cold.total_ns as f64,
-        "stages cover {direct} of {} ns",
-        cold.total_ns
-    );
-    assert!(direct <= cold.total_ns, "children cannot exceed the root");
-
-    // The planner sub-spans must account for (nearly) the whole
-    // decomposition search: the only work outside them is budget checks
-    // and span bookkeeping. Gaps between spans absorb scheduler noise
-    // when the test binary runs its servers in parallel, so take the best
-    // of a few cold samples — that is the intrinsic coverage.
-    fn find_span<'a>(node: &'a SpanNode, name: &str) -> Option<&'a SpanNode> {
-        if node.name == name {
-            return Some(node);
-        }
-        node.children.iter().find_map(|c| find_span(c, name))
+    // Structure, not wall-clock shares: every span lies inside its parent,
+    // and where the children run one after another on one thread — the
+    // request's stages, and the single-lane decomposition search — their
+    // durations sum to at most the parent's.
+    assert_nested(&cold.root);
+    for parent in [&cold.root, decompose] {
+        let children: u64 = parent.children.iter().map(|c| c.duration_ns).sum();
+        assert!(
+            children <= parent.duration_ns,
+            "children of {} sum to {children} ns, more than its {} ns",
+            parent.name,
+            parent.duration_ns
+        );
     }
-    let plan_coverage = |root: &SpanNode| {
-        let decompose = find_span(root, "plan.decompose").unwrap();
-        let planner: u64 = decompose
-            .children
-            .iter()
-            .filter(|c| c.name.starts_with("plan."))
-            .map(|c| c.duration_ns)
-            .sum();
-        planner as f64 / decompose.duration_ns as f64
-    };
-    let mut best = plan_coverage(&cold.root);
-    for _ in 0..4 {
-        if best >= 0.95 {
-            break;
-        }
-        c.flush().unwrap();
-        let again = c.profile("main", CYCLE_Q, 0).unwrap();
-        assert_eq!(again.cached, CacheTier::Cold);
-        best = best.max(plan_coverage(&again.root));
-    }
-    assert!(best >= 0.95, "plan.* sub-spans cover only {best:.3}");
 
     // The profiled count agrees with the plain COUNT path (served warm
     // from the cache the profile populated).
