@@ -1,5 +1,5 @@
 //! Measures what the PR 4 instrumentation costs the join/semijoin kernels
-//! from `BENCH_join_kernels.json`:
+//! (sort-merge, sequential):
 //!
 //! * **disabled** — no trace session anywhere; an instrumented scope pays
 //!   one relaxed atomic load. Measured two ways: the kernel itself, and
@@ -34,7 +34,7 @@ struct Case {
     disabled_overhead_pct: f64,
 }
 
-/// Same generator as `join_kernels`: shared first column, domain ≈ rows.
+/// Two relations joining on a shared first column, domain ≈ rows.
 fn instance(rows: usize, seed: u64) -> (Bindings, Bindings) {
     let mut rng = Rng::seed_from_u64(seed);
     let domain = rows as u32;
@@ -172,7 +172,7 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"trace_overhead\",\n");
-    json.push_str("  \"baseline\": \"BENCH_join_kernels.json kernels, re-measured in-run\",\n");
+    json.push_str("  \"baseline\": \"join/semijoin kernels, re-measured in-run\",\n");
     json.push_str(&format!("  \"disabled_gate_ns_per_span\": {gate_ns:.2},\n"));
     json.push_str(&format!(
         "  \"median_traced_overhead_pct\": {median_traced:.3},\n"

@@ -51,9 +51,8 @@ pub fn count_with_decomposition_kernel(
         return Natural::ZERO;
     }
     let free_cols: Vec<u32> = qprime.free().iter().map(|v| v.node()).collect();
-    // Step 3: each [free]-component's view projects independently — fan the
-    // per-vertex projections out over the pool.
-    let projected: Vec<Bindings> = cqcount_exec::par_map(&views, |v| v.project(&free_cols));
+    // Step 3: project every view onto the free variables.
+    let projected: Vec<Bindings> = views.iter().map(|v| v.project(&free_cols)).collect();
     count_over_tree(
         &projected,
         &complete.parent,

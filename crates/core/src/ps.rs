@@ -23,38 +23,17 @@ use cqcount_relational::{Bindings, Database, FxHashMap, JoinKernel};
 /// A `#`-relation: canonical bindings-sets with multiplicities.
 type SharpRelation = FxHashMap<Bindings, Natural>;
 
-/// Pair-count threshold below which `⋉#` stays sequential.
-const PAR_MIN_PAIRS: usize = 256;
-
 /// The `⋉#` operator: `R ⋉# R' = { S ⋉ S' | S ∈ R, S' ∈ R', S ⋉ S' ≠ ∅ }`
 /// with `c(T) = Σ_{S ⋉ S' = T} c(S)·c(S')`.
-///
-/// Large products are chunked over the left operand's entries; the partial
-/// maps are merged by `+=`, which is commutative over [`Natural`], so the
-/// result is the same map whatever the chunking.
 fn sharp_semijoin(r: &SharpRelation, r2: &SharpRelation) -> SharpRelation {
-    let fold = |entries: &[(&Bindings, &Natural)]| -> SharpRelation {
-        let mut out = SharpRelation::default();
-        for (s, c) in entries {
-            for (s2, c2) in r2 {
-                let t = s.semijoin(s2);
-                if !t.is_empty() {
-                    let prod = *c * c2;
-                    *out.entry(t).or_insert(Natural::ZERO) += &prod;
-                }
-            }
-        }
-        out
-    };
-    let left: Vec<(&Bindings, &Natural)> = r.iter().collect();
-    if left.len().saturating_mul(r2.len()) < PAR_MIN_PAIRS {
-        return fold(&left);
-    }
-    let partials = cqcount_exec::par_chunks(&left, 8, |_, chunk| fold(chunk));
     let mut out = SharpRelation::default();
-    for partial in partials {
-        for (t, c) in partial {
-            *out.entry(t).or_insert(Natural::ZERO) += &c;
+    for (s, c) in r {
+        for (s2, c2) in r2 {
+            let t = s.semijoin(s2);
+            if !t.is_empty() {
+                let prod = c * c2;
+                *out.entry(t).or_insert(Natural::ZERO) += &prod;
+            }
         }
     }
     out
@@ -75,14 +54,16 @@ pub fn count_sharp_relations_views(
     if views.is_empty() {
         return Natural::ONE;
     }
-    // Initialization: R_p^0 = { σ_θ(r_p) | θ ∈ π_free(r_p) }, c = 1 — one
-    // independent grouping per tree vertex, spread across the pool.
-    let mut sharp: Vec<SharpRelation> = cqcount_exec::par_map(views, |v| {
-        v.partition_by(free_cols)
-            .into_iter()
-            .map(|(_, group)| (group, Natural::ONE))
-            .collect()
-    });
+    // Initialization: R_p^0 = { σ_θ(r_p) | θ ∈ π_free(r_p) }, c = 1.
+    let mut sharp: Vec<SharpRelation> = views
+        .iter()
+        .map(|v| {
+            v.partition_by(free_cols)
+                .into_iter()
+                .map(|(_, group)| (group, Natural::ONE))
+                .collect()
+        })
+        .collect();
 
     // Bottom-up: fold children into parents with ⋉#.
     let mut answer = Natural::ONE;

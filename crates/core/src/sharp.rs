@@ -131,6 +131,11 @@ pub fn sharp_decomposition_wrt_views(
     None
 }
 
+/// Total rows in the bags' λ-relations below which [`bag_views_with_kernel`]
+/// builds every bag on the calling thread: on small inputs a pool round
+/// trip costs more than the bags it would overlap.
+const PAR_MIN_ROWS: usize = 4096;
+
 /// Materializes the per-vertex relations `r_p = π_{χ(p)}(⋈_{a ∈ λ(p)} a^D)`
 /// of a decomposition whose `λ` indexes `q`'s atoms, with the join kernel
 /// taken from `CQCOUNT_JOIN_KERNEL` (default: [`JoinKernel::Auto`]).
@@ -149,10 +154,7 @@ pub fn bag_views_with_kernel(
     ht: &Hypertree,
     kernel: JoinKernel,
 ) -> Vec<Bindings> {
-    // One independent join-then-project per tree vertex: fan the vertices
-    // out over the pool (results come back in vertex order).
-    let vertices: Vec<usize> = (0..ht.len()).collect();
-    cqcount_exec::par_map(&vertices, |&p| {
+    let build = |&p: &usize| {
         let chi_cols: Vec<u32> = ht.chi[p].to_vec();
         let lam = &ht.lambda[p];
         if wcoj_applies(q, lam, kernel) {
@@ -163,7 +165,22 @@ pub fn bag_views_with_kernel(
             acc = acc.join(&atom_bindings(&q.atoms()[ai], db));
         }
         acc.project(&chi_cols)
-    })
+    };
+    // One independent join-then-project per tree vertex. This is the count
+    // path's only pool call, and only large inputs take it; results come
+    // back in vertex order either way.
+    let vertices: Vec<usize> = (0..ht.len()).collect();
+    let lambda_rows: usize = ht
+        .lambda
+        .iter()
+        .flatten()
+        .map(|&ai| db.relation(&q.atoms()[ai].rel).map_or(0, Relation::len))
+        .sum();
+    if lambda_rows >= PAR_MIN_ROWS {
+        cqcount_exec::par_map(&vertices, build)
+    } else {
+        vertices.iter().map(build).collect()
+    }
 }
 
 /// Should this bag's λ-atoms be joined with the leapfrog kernel?

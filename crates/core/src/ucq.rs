@@ -90,27 +90,14 @@ impl UnionQuery {
 
 /// Counts `|⋃ᵢ π_free(Qᵢ)(Qᵢ^D)|` by inclusion–exclusion over the
 /// disjuncts, counting every intersection with the automatic planner.
-///
-/// The `2^r − 1` subset counts are independent: they fan out over the
-/// worker pool, and the signed sum is folded in ascending mask order, so
-/// the total never depends on scheduling.
 pub fn count_union(u: &UnionQuery, db: &Database) -> Natural {
     let r = u.disjuncts().len();
     assert!(r < 20, "too many disjuncts for inclusion–exclusion");
-    let masks: Vec<u32> = (1u32..(1 << r)).collect();
-    let signed: Vec<Int> = cqcount_exec::par_map(&masks, |&mask| {
-        let subset: Vec<usize> = (0..r).filter(|i| mask & (1 << i) != 0).collect();
-        let conj = u.conjoin(&subset);
-        let count = Int::from(count_auto(&conj, db));
-        if subset.len() % 2 == 1 {
-            count
-        } else {
-            -count
-        }
-    });
     let mut total = Int::ZERO;
-    for count in &signed {
-        total += count;
+    for mask in 1u32..(1 << r) {
+        let subset: Vec<usize> = (0..r).filter(|i| mask & (1 << i) != 0).collect();
+        let count = Int::from(count_auto(&u.conjoin(&subset), db));
+        total += if subset.len() % 2 == 1 { count } else { -count };
     }
     assert!(
         !total.is_negative(),

@@ -4,9 +4,9 @@
 //! workspace stays buildable in a sealed container. The public surface is
 //! deliberately tiny:
 //!
-//! * [`par_map`] — map a function over a slice, results in input order;
-//! * [`par_chunks`] — map a function over contiguous chunks of a slice,
-//!   chunk results in offset order;
+//! * [`par_map`] — map a function over a slice, results in input order.
+//!   Counting calls it from exactly one place, the size-gated per-bag view
+//!   build in `cqcount_core::sharp`; the kernels themselves are sequential;
 //! * [`with_threads`] — force a thread count for the duration of a closure
 //!   (used by the seq-vs-par agreement tests);
 //! * [`current_threads`] / [`default_thread_count`] — introspection;
@@ -17,22 +17,20 @@
 //!
 //! Thread count resolution: the `CQCOUNT_THREADS` environment variable if
 //! set (clamped to ≥ 1), otherwise [`std::thread::available_parallelism`].
-//! With one thread every helper degrades to a plain sequential loop on the
+//! With one thread `par_map` degrades to a plain sequential loop on the
 //! calling thread — no pool, no locks — which is the reference semantics
-//! the parallel paths are required to reproduce byte-for-byte.
+//! the parallel path is required to reproduce.
 //!
-//! Determinism: results are written into pre-allocated per-task slots and
-//! reassembled in input order, so the *values* returned by `par_map` and
-//! `par_chunks` never depend on scheduling. Callers that fold results must
-//! fold in slot order (they receive a `Vec` in that order, so the natural
-//! left fold is already deterministic).
+//! Determinism: results are written into pre-allocated per-block slots and
+//! reassembled in input order, so the values returned by `par_map` never
+//! depend on scheduling.
 
 #[cfg(unix)]
 pub mod poll;
 mod pool;
 pub mod queue;
 
-pub use pool::{Pool, PoolStats};
+pub use pool::Pool;
 pub use queue::BoundedQueue;
 
 use cqcount_obs as obs;
@@ -167,57 +165,6 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
         .collect()
 }
 
-/// Splits `items` into contiguous chunks of at least `min_chunk` elements
-/// (one chunk per lane when the slice is large enough) and maps `f` over
-/// each; `f` receives the chunk's starting offset and the chunk itself.
-/// Results come back in offset order.
-pub fn par_chunks<T: Sync, R: Send>(
-    items: &[T],
-    min_chunk: usize,
-    f: impl Fn(usize, &[T]) -> R + Sync,
-) -> Vec<R> {
-    let threads = current_threads();
-    let min_chunk = min_chunk.max(1);
-    if threads <= 1 || items.len() <= min_chunk {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        return vec![f(0, items)];
-    }
-    let chunks = (items.len().div_ceil(min_chunk)).min(threads * 2);
-    let chunk_len = items.len().div_ceil(chunks);
-    let chunks = items.len().div_ceil(chunk_len);
-    let slots: Vec<Mutex<Option<R>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
-    let f = &f;
-    let parent = obs::trace::current();
-    let submitted_ns = if parent.is_none() {
-        0
-    } else {
-        obs::trace::now_ns()
-    };
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-        .iter()
-        .enumerate()
-        .map(|(c, slot)| {
-            let start = c * chunk_len;
-            let end = ((c + 1) * chunk_len).min(items.len());
-            Box::new(move || {
-                let sp = obs::trace::span_under(parent, "exec.task");
-                if sp.is_armed() {
-                    sp.add("wait_ns", obs::trace::now_ns().saturating_sub(submitted_ns));
-                    sp.add("items", (end - start) as u64);
-                }
-                *slot.lock().unwrap() = Some(f(start, &items[start..end]));
-            }) as _
-        })
-        .collect();
-    run_on_current(tasks);
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("chunk task completed"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,29 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_covers_every_element_once() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let sums = with_threads(4, || {
-            par_chunks(&items, 64, |_, chunk| chunk.iter().sum::<u64>())
-        });
-        assert_eq!(sums.iter().sum::<u64>(), items.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn par_chunks_offsets_are_sorted_and_contiguous() {
-        let items: Vec<u8> = vec![0; 5000];
-        let spans = with_threads(3, || {
-            par_chunks(&items, 10, |off, chunk| (off, chunk.len()))
-        });
-        let mut expect = 0usize;
-        for (off, len) in spans {
-            assert_eq!(off, expect);
-            expect += len;
-        }
-        assert_eq!(expect, items.len());
-    }
-
-    #[test]
     fn with_threads_nests_and_restores() {
         with_threads(4, || {
             assert_eq!(current_threads(), 4);
@@ -274,6 +198,5 @@ mod tests {
     fn empty_inputs_are_fine() {
         let empty: Vec<u32> = Vec::new();
         assert!(with_threads(4, || par_map(&empty, |x| *x)).is_empty());
-        assert!(with_threads(4, || par_chunks(&empty, 8, |_, c| c.len())).is_empty());
     }
 }

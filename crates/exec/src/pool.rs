@@ -1,22 +1,21 @@
-//! The scoped worker pool: work-stealing deques over plain std primitives.
+//! The scoped worker pool: one shared FIFO queue over plain std primitives.
 //!
-//! Topology: one global injector queue plus one deque per worker. A worker
-//! pops its own deque from the back (LIFO, cache-hot), steals from other
-//! workers' deques from the front (FIFO, coarse-grained), and falls back to
-//! the injector. Tasks submitted from outside the pool land in the
-//! injector; tasks submitted *by a worker* (nested parallelism) land in
-//! that worker's own deque, which is what makes the stealing real.
+//! Topology: a single injector queue. Every submission lands at its back,
+//! and workers and helping callers pop from its front. There are no
+//! per-worker queues: the pool's only production caller submits one task
+//! per block of decomposition bags, so there is nothing fine-grained to
+//! balance.
 //!
 //! Scoped execution: [`Pool::run_scoped`] erases the lifetime of the
 //! submitted closures (they only borrow data owned by the caller's stack
 //! frame) and blocks until every task has completed — while blocked, the
-//! submitting thread *helps* drain tasks, so nested `par_map` calls from
+//! submitting thread *helps* drain the queue, so nested `par_map` calls from
 //! inside a worker cannot deadlock the pool. The completion latch is what
 //! makes the lifetime erasure sound: no task outlives `run_scoped`.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -49,10 +48,6 @@ impl Latch {
         }
     }
 
-    fn is_done(&self) -> bool {
-        *self.remaining.lock().unwrap() == 0
-    }
-
     /// Waits briefly for completion; returns `true` when the latch hit 0.
     fn wait_a_little(&self) -> bool {
         let left = self.remaining.lock().unwrap();
@@ -67,77 +62,26 @@ impl Latch {
     }
 }
 
+/// The queue and the shutdown flag share one mutex, so a worker that saw
+/// "empty, not shut down" is already waiting on `wake` before `Drop` can
+/// flip the flag and notify.
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
+}
+
 struct Shared {
-    injector: Mutex<VecDeque<Task>>,
-    /// One stealable deque per worker thread.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Wakes sleeping workers when work arrives.
+    queue: Mutex<Queue>,
+    /// Wakes sleeping workers when work arrives or the pool shuts down.
     wake: Condvar,
-    sleep_lock: Mutex<()>,
-    shutdown: AtomicBool,
-    /// Round-robin steal origin so thieves don't all hammer worker 0.
-    steal_hint: AtomicUsize,
     /// Tasks that panicked instead of completing, across all scopes.
     panics: AtomicU64,
-    /// Tasks handed to the pool over its lifetime (inline mode included).
-    spawned: AtomicU64,
-    /// Tasks that ran to completion without panicking.
-    completed: AtomicU64,
-    /// Tasks taken from another worker's deque.
-    steals: AtomicU64,
-    /// High-water mark of any single queue (injector or deque) observed at
-    /// submission time.
-    max_queue_depth: AtomicU64,
 }
 
 impl Shared {
-    /// Grabs one task: own deque (back) → steal (front) → injector.
-    fn find_task(&self, own: Option<usize>) -> Option<Task> {
-        if let Some(me) = own {
-            if let Some(t) = self.deques[me].lock().unwrap().pop_back() {
-                return Some(t);
-            }
-        }
-        let n = self.deques.len();
-        if n > 0 {
-            let start = self.steal_hint.fetch_add(1, Ordering::Relaxed) % n;
-            for k in 0..n {
-                let victim = (start + k) % n;
-                if Some(victim) == own {
-                    continue;
-                }
-                if let Some(t) = self.deques[victim].lock().unwrap().pop_front() {
-                    // Taking from a deque we don't own is a steal; `own ==
-                    // None` is the scope owner helping, which steals too.
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(t);
-                }
-            }
-        }
-        self.injector.lock().unwrap().pop_front()
+    fn pop(&self) -> Option<Task> {
+        self.queue.lock().unwrap().tasks.pop_front()
     }
-}
-
-/// A snapshot of a pool's lifetime scheduling counters, from
-/// [`Pool::stats`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Tasks handed to the pool (inline mode included).
-    pub spawned: u64,
-    /// Tasks that ran to completion without panicking.
-    pub completed: u64,
-    /// Tasks that panicked (contained by the scope's catch_unwind).
-    pub panicked: u64,
-    /// Tasks a lane took from another worker's deque.
-    pub steals: u64,
-    /// High-water mark of any single queue at submission time.
-    pub max_queue_depth: u64,
-}
-
-thread_local! {
-    /// Set inside pool workers: (shared-state identity, worker index).
-    static WORKER: std::cell::RefCell<Option<(usize, usize)>> =
-        const { std::cell::RefCell::new(None) };
 }
 
 /// A fixed-size worker pool. `threads == 1` means "no worker threads":
@@ -155,26 +99,20 @@ impl Pool {
     /// `threads - 1` OS worker threads are spawned.
     pub fn new(threads: usize) -> Pool {
         let threads = threads.max(1);
-        let workers = threads - 1;
         let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                shutdown: false,
+            }),
             wake: Condvar::new(),
-            sleep_lock: Mutex::new(()),
-            shutdown: AtomicBool::new(false),
-            steal_hint: AtomicUsize::new(0),
             panics: AtomicU64::new(0),
-            spawned: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            max_queue_depth: AtomicU64::new(0),
         });
-        let handles = (0..workers)
+        let handles = (0..threads - 1)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("cqcount-worker-{i}"))
-                    .spawn(move || worker_loop(shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -197,18 +135,6 @@ impl Pool {
         self.shared.panics.load(Ordering::Relaxed)
     }
 
-    /// Lifetime scheduling counters for this pool. `spawned` always equals
-    /// `completed + panicked` once every scope has returned.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            spawned: self.shared.spawned.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            panicked: self.shared.panics.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
-            max_queue_depth: self.shared.max_queue_depth.load(Ordering::Relaxed),
-        }
-    }
-
     /// Runs `tasks` to completion. Tasks may borrow from the caller's
     /// frame: this function does not return until every task has run, and
     /// the calling thread helps execute queued tasks while it waits.
@@ -225,17 +151,12 @@ impl Pool {
         if tasks.is_empty() {
             return;
         }
-        self.shared
-            .spawned
-            .fetch_add(tasks.len() as u64, Ordering::Relaxed);
         if self.threads == 1 {
             let mut first_panic: Option<PanicPayload> = None;
             for t in tasks {
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(t)) {
                     self.shared.panics.fetch_add(1, Ordering::Relaxed);
                     first_panic.get_or_insert(payload);
-                } else {
-                    self.shared.completed.fetch_add(1, Ordering::Relaxed);
                 }
             }
             if let Some(payload) = first_panic {
@@ -245,66 +166,39 @@ impl Pool {
         }
         let latch = Latch::new(tasks.len());
         let first_panic: Arc<Mutex<Option<PanicPayload>>> = Arc::new(Mutex::new(None));
-        let me = WORKER.with(|w| match *w.borrow() {
-            Some((pool_id, idx)) if pool_id == Arc::as_ptr(&self.shared) as usize => Some(idx),
-            _ => None,
-        });
-        {
-            // Erase the scope lifetime: sound because we hold the latch
-            // open until every task has finished executing.
-            let erased: Vec<Task> = tasks
-                .into_iter()
-                .map(|t| {
-                    let latch = Arc::clone(&latch);
-                    let shared = Arc::clone(&self.shared);
-                    let first_panic = Arc::clone(&first_panic);
-                    let wrapped: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-                        // Catch unwinds so a panicking task cannot kill its
-                        // worker thread or leave the latch hanging; the
-                        // payload travels back to the scope owner instead.
-                        if let Err(payload) = catch_unwind(AssertUnwindSafe(t)) {
-                            shared.panics.fetch_add(1, Ordering::Relaxed);
-                            first_panic.lock().unwrap().get_or_insert(payload);
-                        } else {
-                            shared.completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        latch.count_down();
-                    });
-                    // SAFETY: `wrapped` only borrows data that outlives the
-                    // wait loop below; `run_scoped` blocks until the latch
-                    // reports all wrapped tasks done.
-                    unsafe {
-                        std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(wrapped)
+        // Erase the scope lifetime: sound because we hold the latch open
+        // until every task has finished executing.
+        let erased: Vec<Task> = tasks
+            .into_iter()
+            .map(|t| {
+                let latch = Arc::clone(&latch);
+                let shared = Arc::clone(&self.shared);
+                let first_panic = Arc::clone(&first_panic);
+                let wrapped: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
+                    // Catch unwinds so a panicking task cannot kill its worker
+                    // thread or leave the latch hanging; the payload travels
+                    // back to the scope owner instead.
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(t)) {
+                        shared.panics.fetch_add(1, Ordering::Relaxed);
+                        first_panic.lock().unwrap().get_or_insert(payload);
                     }
-                })
-                .collect();
-            let depth = match me {
-                // Nested submission from a worker: feed its own deque so
-                // idle siblings can steal from the front while the worker
-                // chews the back.
-                Some(idx) => {
-                    let mut dq = self.shared.deques[idx].lock().unwrap();
-                    dq.extend(erased);
-                    dq.len()
-                }
-                None => {
-                    let mut inj = self.shared.injector.lock().unwrap();
-                    inj.extend(erased);
-                    inj.len()
-                }
-            };
-            self.shared
-                .max_queue_depth
-                .fetch_max(depth as u64, Ordering::Relaxed);
-            self.shared.wake.notify_all();
-        }
+                    latch.count_down();
+                });
+                // SAFETY: `wrapped` only borrows data that outlives the wait
+                // loop below; `run_scoped` blocks until the latch reports all
+                // wrapped tasks done.
+                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(wrapped) }
+            })
+            .collect();
+        self.shared.queue.lock().unwrap().tasks.extend(erased);
+        self.shared.wake.notify_all();
         // Help until everything in this scope has completed.
         loop {
-            if let Some(task) = self.shared.find_task(me) {
+            if let Some(task) = self.shared.pop() {
                 task();
                 continue;
             }
-            if latch.is_done() || latch.wait_a_little() {
+            if latch.wait_a_little() {
                 break;
             }
         }
@@ -319,7 +213,7 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.queue.lock().unwrap().shutdown = true;
         self.shared.wake.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -327,31 +221,25 @@ impl Drop for Pool {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, index: usize) {
-    WORKER.with(|w| *w.borrow_mut() = Some((Arc::as_ptr(&shared) as usize, index)));
+fn worker_loop(shared: &Shared) {
+    let mut queue = shared.queue.lock().unwrap();
     loop {
-        if let Some(task) = shared.find_task(Some(index)) {
+        if let Some(task) = queue.tasks.pop_front() {
+            drop(queue);
             task();
-            continue;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
+            queue = shared.queue.lock().unwrap();
+        } else if queue.shutdown {
             return;
+        } else {
+            queue = shared.wake.wait(queue).unwrap();
         }
-        let guard = shared.sleep_lock.lock().unwrap();
-        // Re-check under the lock to avoid sleeping through a wake-up.
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let _ = shared
-            .wake
-            .wait_timeout(guard, Duration::from_millis(1))
-            .unwrap();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn sequential_pool_runs_inline_in_order() {
@@ -450,89 +338,6 @@ mod tests {
             .collect();
         pool.run_scoped(again);
         assert_eq!(done.load(Ordering::SeqCst), 23);
-    }
-
-    #[test]
-    fn stats_reflects_spawned_completed_and_panicked_tasks() {
-        let pool = Pool::new(4);
-        // A clean scope first: everything spawned completes.
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..32).map(|_| Box::new(|| ()) as _).collect();
-        pool.run_scoped(tasks);
-        let s = pool.stats();
-        assert_eq!(s.spawned, 32);
-        assert_eq!(s.completed, 32);
-        assert_eq!(s.panicked, 0);
-        assert!(s.max_queue_depth > 0, "submission filled a queue");
-
-        // Now a scope where 3 of 16 tasks panic (the catch_unwind path):
-        // the panics must surface in stats(), and the ledger must balance.
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..16)
-            .map(|i| {
-                Box::new(move || {
-                    if i % 5 == 0 {
-                        panic!("injected");
-                    }
-                }) as _
-            })
-            .collect();
-        assert!(catch_unwind(AssertUnwindSafe(|| pool.run_scoped(tasks))).is_err());
-        let s = pool.stats();
-        assert_eq!(s.spawned, 48);
-        assert_eq!(s.panicked, 4, "tasks 0, 5, 10, 15 panicked");
-        assert_eq!(s.completed, 44);
-        assert_eq!(s.spawned, s.completed + s.panicked);
-        assert_eq!(s.panicked, pool.panics(), "stats() mirrors panics()");
-    }
-
-    #[test]
-    fn taking_from_a_sibling_deque_counts_as_a_steal() {
-        // Exercise find_task directly on a hand-built Shared (no live
-        // workers to race with): scheduling on a loaded single-core host
-        // makes pool-level steal timing unreliable, but the accounting
-        // semantics are deterministic.
-        let shared = Shared {
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..2).map(|_| Mutex::new(VecDeque::new())).collect(),
-            wake: Condvar::new(),
-            sleep_lock: Mutex::new(()),
-            shutdown: AtomicBool::new(false),
-            steal_hint: AtomicUsize::new(0),
-            panics: AtomicU64::new(0),
-            spawned: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            max_queue_depth: AtomicU64::new(0),
-        };
-        let plant = |idx: usize| {
-            shared.deques[idx]
-                .lock()
-                .unwrap()
-                .push_back(Box::new(|| ()) as Task);
-        };
-
-        // Popping your own deque is not a steal.
-        plant(0);
-        assert!(shared.find_task(Some(0)).is_some());
-        assert_eq!(shared.steals.load(Ordering::Relaxed), 0);
-
-        // Worker 1 taking worker 0's task is.
-        plant(0);
-        assert!(shared.find_task(Some(1)).is_some());
-        assert_eq!(shared.steals.load(Ordering::Relaxed), 1);
-
-        // The scope owner (no deque of its own) stealing counts too.
-        plant(1);
-        assert!(shared.find_task(None).is_some());
-        assert_eq!(shared.steals.load(Ordering::Relaxed), 2);
-
-        // Draining the injector is not a steal.
-        shared
-            .injector
-            .lock()
-            .unwrap()
-            .push_back(Box::new(|| ()) as Task);
-        assert!(shared.find_task(None).is_some());
-        assert_eq!(shared.steals.load(Ordering::Relaxed), 2);
     }
 
     #[test]

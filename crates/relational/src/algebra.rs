@@ -19,11 +19,10 @@
 //! sort-merge over key-grouped row indices; when the shared columns are a
 //! prefix of a side's column list, the canonical row order *is* key order
 //! and the grouping sort is skipped entirely (the sort-merge fast path).
-//! Because the canonical form sorts and dedups at the end, the parallel
-//! row-chunked paths (via [`cqcount_exec::par_chunks`]) are byte-identical
-//! to the sequential ones.
+//! Every kernel runs sequentially on the calling thread: counting
+//! parallelizes across decomposition bags (`cqcount_core::sharp`), never
+//! inside one operator, so there is no chunking and nothing to stitch.
 
-use crate::fxhash::FxHashMap;
 use crate::{Col, Relation, Tuple, Value};
 use cqcount_obs as obs;
 use std::cmp::Ordering;
@@ -33,14 +32,6 @@ use std::cmp::Ordering;
 fn bytes_of(b: &Bindings) -> u64 {
     (b.rows.len() * b.cols.len() * std::mem::size_of::<Value>()) as u64
 }
-
-/// Row-count threshold below which the kernels stay sequential: chunking
-/// costs more than it saves on small inputs, and tiny Bindings dominate the
-/// decomposition pipelines.
-const PAR_MIN_ROWS: usize = 4096;
-
-/// Half-open `[start, end)` range of row indices within a sorted order.
-type Span = (u32, u32);
 
 /// A term in an atom evaluation: a column (variable) or a constant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -223,9 +214,6 @@ impl Bindings {
     }
 
     /// Canonicalizes pre-permuted rows: sort + dedup over sorted columns.
-    /// The single chokepoint that makes every parallel production
-    /// deterministic — whatever order chunks arrive in, the canonical form
-    /// is the same.
     fn from_parts(cols: Vec<Col>, mut rows: Vec<Tuple>) -> Bindings {
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]));
         rows.sort_unstable();
@@ -276,31 +264,17 @@ impl Bindings {
         // The scan reads borrowed row slices straight out of the
         // relation's flat value array — for a frozen relation that is the
         // mapped page itself, no copy.
-        let scan_range = |start: usize, end: usize| -> Vec<Tuple> {
-            (start..end)
-                .map(|i| relation.row(i))
-                .filter(|tup| {
-                    checks.iter().enumerate().all(|(i, c)| match c {
-                        Check::Const(v) => tup[i] == *v,
-                        Check::EqPos(p) => tup[i] == tup[*p],
-                        Check::None => true,
-                    })
+        let rows: Vec<Tuple> = (0..relation.len())
+            .map(|i| relation.row(i))
+            .filter(|tup| {
+                checks.iter().enumerate().all(|(i, c)| match c {
+                    Check::Const(v) => tup[i] == *v,
+                    Check::EqPos(p) => tup[i] == tup[*p],
+                    Check::None => true,
                 })
-                .map(|tup| emit_pos.iter().map(|&p| tup[p]).collect())
-                .collect()
-        };
-        let n = relation.len();
-        let rows: Vec<Tuple> = if n >= PAR_MIN_ROWS {
-            let blocks: Vec<(usize, usize)> = (0..n.div_ceil(PAR_MIN_ROWS))
-                .map(|b| (b * PAR_MIN_ROWS, ((b + 1) * PAR_MIN_ROWS).min(n)))
-                .collect();
-            cqcount_exec::par_map(&blocks, |&(s, e)| scan_range(s, e))
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            scan_range(0, n)
-        };
+            })
+            .map(|tup| emit_pos.iter().map(|&p| tup[p]).collect())
+            .collect();
         let out = Bindings::from_parts(sorted_cols, rows);
         if sp.is_armed() {
             sp.add("rows_out", out.rows.len() as u64);
@@ -400,62 +374,27 @@ impl Bindings {
         if sp.is_armed() {
             sp.add("merge_comparisons", comparisons);
         }
-        // Emit the per-pair products; chunked over matched groups so large
-        // joins parallelize, concatenation order fixed by the chunk index.
-        let total_pairs: usize = matches
-            .iter()
-            .map(|&((ls, le), (rs, re))| (le - ls) as usize * (re - rs) as usize)
-            .sum();
-        let emit_chunk = |pairs: &[(Span, Span)]| -> Vec<Tuple> {
-            let mut out = Vec::new();
-            for &((ls, le), (rs, re)) in pairs {
-                for &li in &lorder[ls as usize..le as usize] {
-                    let lrow = &self.rows[li as usize];
-                    for &ri in &rorder[rs as usize..re as usize] {
-                        out.push(plan.emit_row(lrow, &other.rows[ri as usize]));
-                    }
+        // Emit the per-pair products of every matched group pair.
+        let mut rows = Vec::new();
+        for ((ls, le), (rs, re)) in matches {
+            for &li in &lorder[ls as usize..le as usize] {
+                let lrow = &self.rows[li as usize];
+                for &ri in &rorder[rs as usize..re as usize] {
+                    rows.push(plan.emit_row(lrow, &other.rows[ri as usize]));
                 }
             }
-            out
-        };
-        // Parallelize only when the products dominate the group count:
-        // near-1:1 joins (avg fan-out < 4) spend their time in the final
-        // canonicalizing sort, not here, and chunked emission just adds
-        // allocator contention and a flatten copy — the measured 100k-row
-        // regression in BENCH_join_kernels.json.
-        let emit_dominates = total_pairs >= 4 * matches.len();
-        let rows: Vec<Tuple> = if total_pairs >= PAR_MIN_ROWS && matches.len() > 1 && emit_dominates
-        {
-            cqcount_exec::par_chunks(&matches, 1, |_, chunk| emit_chunk(chunk))
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            emit_chunk(&matches)
-        };
+        }
         Bindings::from_parts(plan.out_cols, rows)
     }
 
     /// Cartesian product (a join with no shared columns).
     fn cross_product(&self, other: &Bindings, plan: &JoinPlan) -> Bindings {
-        let emit_chunk = |lrows: &[Tuple]| -> Vec<Tuple> {
-            let mut out = Vec::with_capacity(lrows.len() * other.rows.len());
-            for lrow in lrows {
-                for rrow in &other.rows {
-                    out.push(plan.emit_row(lrow, rrow));
-                }
+        let mut rows = Vec::with_capacity(self.rows.len() * other.rows.len());
+        for lrow in &self.rows {
+            for rrow in &other.rows {
+                rows.push(plan.emit_row(lrow, rrow));
             }
-            out
-        };
-        let total = self.rows.len().saturating_mul(other.rows.len());
-        let rows: Vec<Tuple> = if total >= PAR_MIN_ROWS && self.rows.len() > 1 {
-            cqcount_exec::par_chunks(&self.rows, 1, |_, chunk| emit_chunk(chunk))
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            emit_chunk(&self.rows)
-        };
+        }
         Bindings::from_parts(plan.out_cols.clone(), rows)
     }
 
@@ -463,8 +402,7 @@ impl Bindings {
     ///
     /// Probes a key-sorted index of `other` by binary search — no key
     /// allocation, no hash set. Kept rows are a subsequence of the
-    /// canonical rows, so the result needs no re-sort, and chunked
-    /// filtering concatenates back in order.
+    /// canonical rows, so the result needs no re-sort.
     pub fn semijoin(&self, other: &Bindings) -> Bindings {
         let sp = obs::trace::span("algebra.semijoin");
         if sp.is_armed() {
@@ -505,21 +443,16 @@ impl Bindings {
                 )
             });
         }
-        let hit = |row: &Tuple| -> bool {
-            rorder
-                .binary_search_by(|&ri| cmp_keys(&other.rows[ri as usize], &rpos, row, &lpos))
-                .is_ok()
-        };
-        let rows: Vec<Tuple> = if self.rows.len() >= PAR_MIN_ROWS {
-            cqcount_exec::par_chunks(&self.rows, PAR_MIN_ROWS, |_, chunk| {
-                chunk.iter().filter(|r| hit(r)).cloned().collect::<Vec<_>>()
+        let rows: Vec<Tuple> = self
+            .rows
+            .iter()
+            .filter(|row| {
+                rorder
+                    .binary_search_by(|&ri| cmp_keys(&other.rows[ri as usize], &rpos, row, &lpos))
+                    .is_ok()
             })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            self.rows.iter().filter(|r| hit(r)).cloned().collect()
-        };
+            .cloned()
+            .collect();
         Bindings {
             cols: self.cols.clone(),
             rows,
@@ -568,20 +501,11 @@ impl Bindings {
             return self.clone(); // projecting onto all columns: no-op
         }
         let out_cols: Vec<Col> = positions.iter().map(|&p| self.cols[p]).collect();
-        let map_chunk = |chunk: &[Tuple]| -> Vec<Tuple> {
-            chunk
-                .iter()
-                .map(|r| positions.iter().map(|&p| r[p]).collect())
-                .collect()
-        };
-        let mut rows: Vec<Tuple> = if self.rows.len() >= PAR_MIN_ROWS {
-            cqcount_exec::par_chunks(&self.rows, PAR_MIN_ROWS, |_, chunk| map_chunk(chunk))
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            map_chunk(&self.rows)
-        };
+        let mut rows: Vec<Tuple> = self
+            .rows
+            .iter()
+            .map(|r| positions.iter().map(|&p| r[p]).collect())
+            .collect();
         if is_prefix(&positions) {
             // Prefix projection preserves canonical order; dedup suffices.
             rows.dedup();
@@ -664,77 +588,57 @@ impl Bindings {
     }
 }
 
-/// The straw-man join kept for benchmarking: hashes a materialized
-/// `Vec<Value>` key per row into a per-call table, then permutes each
-/// output row through a column order — the allocation profile the
-/// sort-merge kernel in [`Bindings::join`] was written to eliminate. Not
-/// used by any production path.
-#[doc(hidden)]
-pub fn join_hash_baseline(left: &Bindings, right: &Bindings) -> Bindings {
-    let (lpos, rpos) = {
-        let mut l = Vec::new();
-        let mut r = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < left.cols.len() && j < right.cols.len() {
-            match left.cols[i].cmp(&right.cols[j]) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    l.push(i);
-                    r.push(j);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        (l, r)
-    };
-    let key_of = |row: &Tuple, positions: &[usize]| -> Vec<Value> {
-        positions.iter().map(|&p| row[p]).collect()
-    };
-    let mut index: FxHashMap<Vec<Value>, Vec<&Tuple>> = FxHashMap::default();
-    for row in &right.rows {
-        index.entry(key_of(row, &rpos)).or_default().push(row);
-    }
-    let mut out_cols: Vec<Col> = left.cols.clone();
-    let extra_positions: Vec<usize> = (0..right.cols.len())
-        .filter(|p| !rpos.contains(p))
-        .collect();
-    out_cols.extend(extra_positions.iter().map(|&p| right.cols[p]));
-    let col_order: Vec<usize> = {
-        let mut order: Vec<usize> = (0..out_cols.len()).collect();
-        order.sort_unstable_by_key(|&i| out_cols[i]);
-        order
-    };
-    let mut rows = Vec::new();
-    for lrow in &left.rows {
-        if let Some(matches) = index.get(&key_of(lrow, &lpos)) {
-            for rrow in matches {
-                let combined: Vec<Value> = lrow
-                    .iter()
-                    .copied()
-                    .chain(extra_positions.iter().map(|&p| rrow[p]))
-                    .collect();
-                let tuple: Tuple = col_order.iter().map(|&i| combined[i]).collect();
-                rows.push(tuple);
-            }
-        }
-    }
-    rows.sort_unstable();
-    rows.dedup();
-    let sorted_cols: Vec<Col> = col_order.iter().map(|&i| out_cols[i]).collect();
-    Bindings {
-        cols: sorted_cols,
-        rows,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn v(id: u32) -> Value {
         Value(id)
+    }
+
+    /// The straw-man hash join, kept as a test oracle for the sort-merge
+    /// kernel: hashes a materialized `Vec<Value>` key per row into a per-call
+    /// table, then permutes each output row through a column order.
+    fn join_hash_baseline(left: &Bindings, right: &Bindings) -> Bindings {
+        let (lpos, rpos) = left.shared_positions(right);
+        let key_of = |row: &Tuple, positions: &[usize]| -> Vec<Value> {
+            positions.iter().map(|&p| row[p]).collect()
+        };
+        let mut index: crate::fxhash::FxHashMap<Vec<Value>, Vec<&Tuple>> = Default::default();
+        for row in &right.rows {
+            index.entry(key_of(row, &rpos)).or_default().push(row);
+        }
+        let mut out_cols: Vec<Col> = left.cols.clone();
+        let extra_positions: Vec<usize> = (0..right.cols.len())
+            .filter(|p| !rpos.contains(p))
+            .collect();
+        out_cols.extend(extra_positions.iter().map(|&p| right.cols[p]));
+        let col_order: Vec<usize> = {
+            let mut order: Vec<usize> = (0..out_cols.len()).collect();
+            order.sort_unstable_by_key(|&i| out_cols[i]);
+            order
+        };
+        let mut rows = Vec::new();
+        for lrow in &left.rows {
+            if let Some(matches) = index.get(&key_of(lrow, &lpos)) {
+                for rrow in matches {
+                    let combined: Vec<Value> = lrow
+                        .iter()
+                        .copied()
+                        .chain(extra_positions.iter().map(|&p| rrow[p]))
+                        .collect();
+                    let tuple: Tuple = col_order.iter().map(|&i| combined[i]).collect();
+                    rows.push(tuple);
+                }
+            }
+        }
+        rows.sort_unstable();
+        rows.dedup();
+        let sorted_cols: Vec<Col> = col_order.iter().map(|&i| out_cols[i]).collect();
+        Bindings {
+            cols: sorted_cols,
+            rows,
+        }
     }
 
     fn b(cols: &[Col], rows: &[&[u32]]) -> Bindings {
@@ -919,7 +823,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_kernels_match_sequential() {
+    fn large_join_matches_hash_baseline() {
         use cqcount_arith::prng::Rng;
         let mut rng = Rng::seed_from_u64(0xA11E);
         let mut lrows = Vec::new();
@@ -930,13 +834,6 @@ mod tests {
         }
         let l = Bindings::from_rows(vec![1, 2], lrows);
         let r = Bindings::from_rows(vec![2, 3], rrows);
-        let (js, ss, ps) =
-            cqcount_exec::with_threads(1, || (l.join(&r), l.semijoin(&r), l.project(&[2])));
-        let (jp, sp, pp) =
-            cqcount_exec::with_threads(4, || (l.join(&r), l.semijoin(&r), l.project(&[2])));
-        assert_eq!(js, jp);
-        assert_eq!(ss, sp);
-        assert_eq!(ps, pp);
-        assert_eq!(js, join_hash_baseline(&l, &r));
+        assert_eq!(l.join(&r), join_hash_baseline(&l, &r));
     }
 }

@@ -14,37 +14,24 @@ use crate::Bindings;
 /// until a fixpoint is reached. Returns `true` if all views are nonempty at
 /// the fixpoint (the emptiness test used by Lemma 4.3's homomorphism check).
 ///
-/// Runs Jacobi-style rounds: each round reduces every view against the
-/// previous round's snapshot, with the per-view reductions spread across
-/// the worker pool. Semijoins only ever *shrink* views and the greatest
-/// pairwise-consistent subinstance is unique, so the fixpoint — and hence
-/// the views left behind on a `true` return — is independent of both the
-/// round structure and the scheduling (it matches the sequential
-/// Gauss–Seidel sweep byte for byte).
+/// Runs in-place Gauss–Seidel sweeps on the calling thread: each view is
+/// semijoined with every other view's *current* contents, and sweeps repeat
+/// until one changes nothing. Semijoins only ever *shrink* views and the
+/// greatest pairwise-consistent subinstance is unique, so the views left
+/// behind on a `true` return do not depend on the sweep order.
 pub fn pairwise_consistency(views: &mut [Bindings]) -> bool {
     let n = views.len();
-    if n == 0 {
-        return true;
-    }
-    let indices: Vec<usize> = (0..n).collect();
     loop {
-        let reduced: Vec<Bindings> = cqcount_exec::par_map(&indices, |&i| {
-            let mut v = views[i].clone();
-            for (j, w) in views.iter().enumerate() {
+        let mut changed = false;
+        for i in 0..n {
+            for j in 0..n {
                 if i != j {
-                    let r = v.semijoin(w);
-                    if r.len() != v.len() {
-                        v = r;
+                    let r = views[i].semijoin(&views[j]);
+                    if r.len() != views[i].len() {
+                        views[i] = r;
+                        changed = true;
                     }
                 }
-            }
-            v
-        });
-        let mut changed = false;
-        for (slot, v) in views.iter_mut().zip(reduced) {
-            if v.len() != slot.len() {
-                *slot = v;
-                changed = true;
             }
         }
         if views.iter().any(Bindings::is_empty) {

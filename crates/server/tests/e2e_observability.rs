@@ -156,6 +156,40 @@ fn profile_returns_the_span_tree_of_a_cold_count() {
 }
 
 #[test]
+fn a_small_cold_count_never_enters_the_pool() {
+    // 16 edges i → i+2 and i → i+3 over Z_8. A triangle takes one step of
+    // 2 and two of 3 (2 + 3 + 3 = 8), so it closes from every start vertex
+    // in 3 step orders: 24 answers.
+    let facts: String = (0..8)
+        .flat_map(|i| [2, 3].map(|d| format!("e(v{i}, v{}).\n", (i + d) % 8)))
+        .collect();
+    let db = parse_database(&facts).unwrap();
+    assert_eq!(db.total_tuples(), 16);
+    let handle = serve(ServerConfig::default(), vec![("small".into(), db)]).expect("bind loopback");
+    let mut c = connect(&handle);
+
+    let cold = c
+        .profile("small", "ans(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).", 0)
+        .unwrap();
+    assert_eq!(cold.value, "24");
+    assert_eq!(cold.cached, CacheTier::Cold);
+    let mut names = Vec::new();
+    span_names(&cold.root, &mut names);
+    assert!(
+        names.iter().any(|n| n.starts_with("count.")),
+        "a cold profile must show the counting rung, got {names:?}"
+    );
+    // Below the bag-level size gate every bag is built on the worker that
+    // serves the request: no pool task may appear, at any lane count.
+    assert!(
+        !names.iter().any(|n| n == "exec.task"),
+        "a 16-tuple count ran pool tasks: {names:?}"
+    );
+
+    handle.shutdown();
+}
+
+#[test]
 fn degraded_count_tags_the_profile_root_with_the_reason() {
     // `plan_budget_ms: Some(0)` trips the planning budget immediately —
     // the deterministic degradation trigger from the chaos suite.
