@@ -59,12 +59,10 @@ pub mod prelude {
         count_hybrid, hybrid_decomposition, hybrid_decomposition_guided, key_determined_variables,
         HybridDecomposition,
     };
-    pub use crate::pipeline::{
-        count_via_sharp_decomposition, count_with_decomposition, count_with_decomposition_kernel,
-    };
+    pub use crate::pipeline::{count_via_sharp_decomposition, count_with_decomposition};
     pub use crate::planner::{
-        count_auto, count_explain, count_prepared, count_prepared_resilient, prepare_plan,
-        prepare_plan_budgeted, Plan, PreparedPlan, WidthReport,
+        count_auto, count_prepared, prepare_plan, prepare_plan_budgeted, Plan, PreparedPlan,
+        WidthReport,
     };
     pub use crate::ps::{count_pichler_skritek, degree_bound};
     pub use crate::sharp::{
@@ -74,7 +72,6 @@ pub mod prelude {
     pub use crate::ucq::{count_union, UnionQuery};
     pub use crate::views::{count_with_view_set, ViewSet};
     pub use crate::width_search::WidthSearch;
-    pub use cqcount_relational::JoinKernel;
 }
 
 pub use prelude::*;

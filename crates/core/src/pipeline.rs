@@ -5,7 +5,9 @@
 //! `FH(Q', free(Q))`:
 //!
 //! 1. materialize the per-vertex views `r_p = π_{χ(p)}(⋈ λ(p))` (after
-//!    *completing* the decomposition so every atom is enforced);
+//!    *completing* the decomposition so every atom is enforced) — leapfrog
+//!    on bags whose λ-atoms are cyclic, binary sort-merge joins elsewhere
+//!    ([`crate::sharp::wcoj_applies`]);
 //! 2. run the full reducer along the decomposition tree — on the acyclic
 //!    bag schema this achieves global consistency, so afterwards
 //!    `r_p = π_{χ(p)}(Q'^D)` exactly;
@@ -22,30 +24,17 @@ use cqcount_arith::Natural;
 use cqcount_decomp::Hypertree;
 use cqcount_query::ConjunctiveQuery;
 use cqcount_relational::consistency::full_reduce;
-use cqcount_relational::{Bindings, Database, JoinKernel};
+use cqcount_relational::{Bindings, Database};
 
 /// Counts `|π_free(Q')(Q'^D)|` given a decomposition of `Q'` whose bags
 /// cover every frontier of `FH(Q', free(Q'))` and whose `λ` indexes
-/// `Q'`'s atoms. This is the algorithm inside Theorem 3.7. The bag join
-/// kernel comes from the environment (default `Auto`); use
-/// [`count_with_decomposition_kernel`] to pin it.
+/// `Q'`'s atoms. This is the algorithm inside Theorem 3.7.
 pub fn count_with_decomposition(
     qprime: &ConjunctiveQuery,
     db: &Database,
     ht: &Hypertree,
 ) -> Natural {
-    count_with_decomposition_kernel(qprime, db, ht, JoinKernel::from_env())
-}
-
-/// [`count_with_decomposition`] with an explicit per-bag join kernel —
-/// the planner's hook for steering cyclic bags onto the leapfrog path.
-pub fn count_with_decomposition_kernel(
-    qprime: &ConjunctiveQuery,
-    db: &Database,
-    ht: &Hypertree,
-    kernel: JoinKernel,
-) -> Natural {
-    let (complete, mut views) = crate::ps::completed_views_with_kernel(qprime, db, ht, kernel);
+    let (complete, mut views) = crate::ps::completed_views(qprime, db, ht);
     full_reduce(&mut views, &complete.parent, &complete.order);
     if views.iter().any(Bindings::is_empty) {
         return Natural::ZERO;

@@ -1,17 +1,24 @@
 //! Width analysis and automatic algorithm selection — the front door a
 //! downstream user calls.
+//!
+//! Every count picks its algorithm in one place: [`prepare_plan`] does the
+//! query-only work (the `#`-hypertree decomposition search), and
+//! [`count_prepared`] walks the paper's ladder over the data — Theorem
+//! 1.3's pipeline, then Theorem 6.6's hybrid decomposition, then
+//! enumeration. [`count_auto`], the CLI and the serving layer all go
+//! through these two functions.
 
-use crate::brute::{count_brute_force, count_brute_force_budgeted};
+use crate::brute::count_brute_force_budgeted;
 use crate::budget::Budget;
 use crate::error::PlanError;
 use crate::hybrid::count_hybrid;
-use crate::pipeline::{count_via_sharp_decomposition, count_with_decomposition_kernel};
+use crate::pipeline::count_with_decomposition;
 use crate::sharp::SharpDecomposition;
 use crate::width_search::WidthSearch;
 
 use cqcount_arith::Natural;
 use cqcount_query::{quantified_star_size, ConjunctiveQuery};
-use cqcount_relational::{Database, JoinKernel};
+use cqcount_relational::Database;
 
 /// Structural measurements of a query, for explainability and planning.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,7 +64,7 @@ impl WidthReport {
 }
 
 /// The algorithm the planner chose, with the evidence that justified it —
-/// returned by [`count_explain`] so callers (and the CLI) can show *why*.
+/// returned by [`count_prepared`] so callers (and the CLI) can show *why*.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Plan {
     /// Bounded `#`-hypertree width: Theorem 1.3's polynomial pipeline.
@@ -87,8 +94,12 @@ pub enum Plan {
 /// 2. otherwise, a hybrid `#ᵦ`-decomposition with a small degree bound
 ///    (Theorem 6.6) when one exists;
 /// 3. otherwise, brute-force enumeration.
+///
+/// Shorthand for [`prepare_plan`] then [`count_prepared`] without a budget.
 pub fn count_auto(q: &ConjunctiveQuery, db: &Database) -> Natural {
-    count_explain(q, db).0
+    count_prepared(q, db, &prepare_plan(q, WIDTH_CAP), &Budget::unlimited())
+        .expect("an unlimited budget never trips")
+        .0
 }
 
 /// Default structural width cap for the planner's decomposition searches.
@@ -98,51 +109,6 @@ pub const DEGREE_CAP: usize = 8;
 /// Above this many existential variables the hybrid subset search is
 /// skipped (it enumerates subsets of the existential variables).
 pub const HYBRID_EXISTENTIAL_LIMIT: usize = 16;
-
-/// Like [`count_auto`], also returning the [`Plan`] that produced the
-/// count.
-pub fn count_explain(q: &ConjunctiveQuery, db: &Database) -> (Natural, Plan) {
-    if let Some((n, sd)) = count_via_sharp_decomposition(q, db, WIDTH_CAP) {
-        return (n, Plan::SharpPipeline { width: sd.width });
-    }
-    if q.existential().len() < HYBRID_EXISTENTIAL_LIMIT {
-        if let Some((n, hd)) = count_hybrid(q, db, WIDTH_CAP, DEGREE_CAP) {
-            let promoted = hd
-                .sbar
-                .iter()
-                .filter(|v| !q.free().contains(v))
-                .map(|v| q.var_name(*v).to_owned())
-                .collect();
-            return (
-                n,
-                Plan::Hybrid {
-                    width: hd.sharp.width,
-                    bound: hd.bound,
-                    promoted,
-                },
-            );
-        }
-        (
-            count_brute_force(q, db),
-            Plan::BruteForce {
-                reason: format!(
-                    "#-hypertree width > {WIDTH_CAP} and no hybrid decomposition \
-                     with degree ≤ {DEGREE_CAP}"
-                ),
-            },
-        )
-    } else {
-        (
-            count_brute_force(q, db),
-            Plan::BruteForce {
-                reason: format!(
-                    "#-hypertree width > {WIDTH_CAP}; too many existential \
-                     variables for the hybrid search"
-                ),
-            },
-        )
-    }
-}
 
 /// The data-independent half of a plan: everything the planner can decide
 /// from the query alone. Produced by [`prepare_plan`], consumed by
@@ -157,28 +123,11 @@ pub struct PreparedPlan {
     pub sharp: Option<SharpDecomposition>,
     /// The width cap the decomposition search ran up to.
     pub width_cap: usize,
-    /// The degree cap for the data-dependent hybrid fallback.
-    pub degree_cap: usize,
     /// True when the decomposition search was cut short by its budget
     /// ([`prepare_plan_budgeted`]): `sharp == None` then means "not found
     /// *so far*", not "proven absent up to the cap". Degraded plans should
     /// not be cached.
     pub degraded: bool,
-    /// The per-bag join kernel for the sharp pipeline. `Auto` (the
-    /// default) runs leapfrog on cyclic bags and binary hash joins on
-    /// acyclic ones; `CQCOUNT_JOIN_KERNEL` pins it at plan time.
-    pub kernel: JoinKernel,
-}
-
-impl PreparedPlan {
-    /// A short human-readable label for logs and server stats.
-    pub fn describe(&self) -> String {
-        match &self.sharp {
-            Some(sd) => format!("sharp-pipeline(width={})", sd.width),
-            None if self.degraded => format!("degraded(search-cut@{})", self.width_cap),
-            None => format!("fallback(width>{})", self.width_cap),
-        }
-    }
 }
 
 /// Runs the query-only planning work (core computation + `#`-hypertree
@@ -190,8 +139,8 @@ pub fn prepare_plan(q: &ConjunctiveQuery, width_cap: usize) -> PreparedPlan {
 
 /// [`prepare_plan`] under a cooperative [`Budget`]: the width search is
 /// checked between candidate widths, and a tripped budget stops it early
-/// with `degraded: true` instead of stalling — the serving layer then
-/// degrades to the brute/acyclic fallback rather than holding a worker
+/// with `degraded: true` instead of stalling — [`count_prepared`] then
+/// degrades to the acyclic/brute fallback rather than holding a worker
 /// hostage on an adversarial query.
 pub fn prepare_plan_budgeted(
     q: &ConjunctiveQuery,
@@ -230,41 +179,46 @@ pub fn prepare_plan_budgeted(
     PreparedPlan {
         sharp,
         width_cap,
-        degree_cap: DEGREE_CAP,
         degraded,
-        kernel: JoinKernel::from_env(),
     }
 }
 
-/// Counts `q` over `db` like [`count_prepared`], but **degrades instead of
-/// stalling** when planning already blew its budget: on a degraded
-/// [`PreparedPlan`] the (even costlier) hybrid search is skipped and the
-/// count falls through the degradation ladder — the quantifier-free
-/// acyclic fast path when the query is full and acyclic, else budgeted
-/// brute force. Returns `(count, plan, degraded)`; `degraded` is true
-/// exactly when a ladder rung (not the structurally chosen algorithm)
-/// produced the count. The count itself is always exact.
-pub fn count_prepared_resilient(
+/// Counts `q` over `db` reusing the decomposition from a [`PreparedPlan`],
+/// under a cooperative [`Budget`]. This is the one place a count picks its
+/// algorithm, in the paper's order:
+///
+/// 1. a `#`-hypertree decomposition in the plan → the Theorem 1.3 pipeline;
+/// 2. otherwise a hybrid `#ᵦ`-decomposition (Theorem 6.6) when one exists
+///    within the width cap and [`DEGREE_CAP`];
+/// 3. otherwise budgeted brute-force enumeration.
+///
+/// On a degraded plan (the width search was cut short) the count
+/// **degrades instead of stalling**: the (even costlier) hybrid search is
+/// skipped, a full acyclic query takes the Yannakakis-style fast path,
+/// and anything else is enumerated. The count is exact either way; budget
+/// trips surface as [`PlanError::BudgetExceeded`], never as a panic.
+pub fn count_prepared(
     q: &ConjunctiveQuery,
     db: &Database,
     plan: &PreparedPlan,
     budget: &Budget,
-) -> Result<(Natural, Plan, bool), PlanError> {
+) -> Result<(Natural, Plan), PlanError> {
     budget.check()?;
     if let Some(sd) = &plan.sharp {
         let sp = cqcount_obs::trace::span("count.sharp");
         if sp.is_armed() {
             sp.add("width", sd.width as u64);
         }
-        let n = count_with_decomposition_kernel(&sd.qprime, db, &sd.hypertree, plan.kernel);
+        let n = count_with_decomposition(&sd.qprime, db, &sd.hypertree);
         budget.check()?;
-        return Ok((n, Plan::SharpPipeline { width: sd.width }, false));
+        return Ok((n, Plan::SharpPipeline { width: sd.width }));
     }
+    let hybrid_feasible = q.existential().len() < HYBRID_EXISTENTIAL_LIMIT;
     // On a degraded plan the width search was cut short; the hybrid
     // search is strictly more work, so go straight down the ladder.
-    if !plan.degraded && q.existential().len() < HYBRID_EXISTENTIAL_LIMIT {
+    if !plan.degraded && hybrid_feasible {
         let sp = cqcount_obs::trace::span("count.hybrid");
-        if let Some((n, hd)) = count_hybrid(q, db, plan.width_cap, plan.degree_cap) {
+        if let Some((n, hd)) = count_hybrid(q, db, plan.width_cap, DEGREE_CAP) {
             budget.check()?;
             if sp.is_armed() {
                 sp.add("width", hd.sharp.width as u64);
@@ -283,14 +237,13 @@ pub fn count_prepared_resilient(
                     bound: hd.bound,
                     promoted,
                 },
-                false,
             ));
         }
     }
-    // Ladder rung 1: a full (quantifier-free) acyclic query counts in
+    // Degradation rung: a full (quantifier-free) acyclic query counts in
     // polynomial time with the Yannakakis-style DP, no decomposition
-    // search needed. (Only a degradation rung — on a non-degraded plan a
-    // missing sharp decomposition means the planner *decided* on brute.)
+    // search needed. (On a non-degraded plan a missing sharp decomposition
+    // means the planner *decided* on brute force.)
     if plan.degraded && q.existential().is_empty() {
         let sp = cqcount_obs::trace::span("count.acyclic");
         if sp.is_armed() {
@@ -308,11 +261,9 @@ pub fn count_prepared_resilient(
                 Plan::BruteForce {
                     reason: "degraded: planning cut short; acyclic full-query fast path".into(),
                 },
-                true,
             ));
         }
     }
-    // Ladder rung 2: budgeted enumeration.
     let n = {
         let _sp = cqcount_obs::trace::span("count.brute");
         count_brute_force_budgeted(q, db, budget)?
@@ -322,78 +273,24 @@ pub fn count_prepared_resilient(
             "degraded: decomposition search cut short by its budget (cap {})",
             plan.width_cap
         )
+    } else if hybrid_feasible {
+        format!(
+            "#-hypertree width > {} and no hybrid decomposition with degree ≤ {DEGREE_CAP}",
+            plan.width_cap
+        )
     } else {
         format!(
-            "#-hypertree width > {} and no hybrid decomposition with degree ≤ {}",
-            plan.width_cap, plan.degree_cap
+            "#-hypertree width > {}; too many existential variables for the hybrid search",
+            plan.width_cap
         )
     };
-    Ok((n, Plan::BruteForce { reason }, plan.degraded))
-}
-
-/// Counts `q` over `db` reusing the decomposition from a [`PreparedPlan`],
-/// under a cooperative [`Budget`]. Mirrors [`count_explain`]'s algorithm
-/// order (sharp pipeline → hybrid → brute force) but never panics: budget
-/// trips surface as [`PlanError::BudgetExceeded`].
-pub fn count_prepared(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    plan: &PreparedPlan,
-    budget: &Budget,
-) -> Result<(Natural, Plan), PlanError> {
-    budget.check()?;
-    if let Some(sd) = &plan.sharp {
-        let n = count_with_decomposition_kernel(&sd.qprime, db, &sd.hypertree, plan.kernel);
-        budget.check()?;
-        return Ok((n, Plan::SharpPipeline { width: sd.width }));
-    }
-    if q.existential().len() < HYBRID_EXISTENTIAL_LIMIT {
-        if let Some((n, hd)) = count_hybrid(q, db, plan.width_cap, plan.degree_cap) {
-            budget.check()?;
-            let promoted = hd
-                .sbar
-                .iter()
-                .filter(|v| !q.free().contains(v))
-                .map(|v| q.var_name(*v).to_owned())
-                .collect();
-            return Ok((
-                n,
-                Plan::Hybrid {
-                    width: hd.sharp.width,
-                    bound: hd.bound,
-                    promoted,
-                },
-            ));
-        }
-        let n = count_brute_force_budgeted(q, db, budget)?;
-        Ok((
-            n,
-            Plan::BruteForce {
-                reason: format!(
-                    "#-hypertree width > {} and no hybrid decomposition \
-                     with degree ≤ {}",
-                    plan.width_cap, plan.degree_cap
-                ),
-            },
-        ))
-    } else {
-        let n = count_brute_force_budgeted(q, db, budget)?;
-        Ok((
-            n,
-            Plan::BruteForce {
-                reason: format!(
-                    "#-hypertree width > {}; too many existential \
-                     variables for the hybrid search",
-                    plan.width_cap
-                ),
-            },
-        ))
-    }
+    Ok((n, Plan::BruteForce { reason }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::brute::count_brute_force;
     use cqcount_query::parse_program;
 
     #[test]
@@ -426,82 +323,80 @@ mod tests {
         }
     }
 
+    /// The one ladder, unbudgeted: what `count_auto` and `--explain` run.
+    fn plan_and_count(q: &ConjunctiveQuery, db: &Database) -> (Natural, Plan) {
+        count_prepared(q, db, &prepare_plan(q, WIDTH_CAP), &Budget::unlimited())
+            .expect("an unlimited budget never trips")
+    }
+
     #[test]
-    fn explain_picks_the_pipeline_for_bounded_width() {
+    fn picks_the_pipeline_for_bounded_width() {
         let (q, db) = parse_program("r(a, b). r(b, c). ans(X) :- r(X, Y).").unwrap();
-        let (n, plan) = count_explain(&q.unwrap(), &db);
+        let (n, plan) = plan_and_count(&q.unwrap(), &db);
         assert_eq!(n, 2u64.into());
         assert_eq!(plan, Plan::SharpPipeline { width: 1 });
     }
 
     #[test]
-    fn explain_reports_hybrid_promotion() {
+    fn reports_hybrid_promotion() {
         use cqcount_workloads::paper::{hybrid_database, hybrid_query};
         // h = 3: #-htw = 4 > cap 3, hybrid width 2 with promoted Y's.
         let q = hybrid_query(3);
         let db = hybrid_database(3);
-        let (n, plan) = count_explain(&q, &db);
+        let plan = prepare_plan(&q, WIDTH_CAP);
+        assert!(plan.sharp.is_none(), "width 4 query must not fit cap 3");
+        assert!(!plan.degraded);
+        let (n, chosen) = count_prepared(&q, &db, &plan, &Budget::unlimited()).unwrap();
         assert_eq!(n, 8u64.into());
-        assert!(
-            matches!(plan, Plan::Hybrid { .. }),
-            "expected hybrid plan, got {plan:?}"
-        );
-        if let Plan::Hybrid {
+        let Plan::Hybrid {
             width,
             bound,
             promoted,
-        } = plan
-        {
-            // the search minimizes the degree bound, not the width:
-            // any width ≤ cap with bound 1 is a valid outcome
-            assert!(width <= 3, "width {width}");
-            assert_eq!(bound, 1);
-            assert!(!promoted.is_empty());
-        }
+        } = chosen
+        else {
+            panic!("expected hybrid plan, got {chosen:?}");
+        };
+        // the search minimizes the degree bound, not the width:
+        // any width ≤ cap with bound 1 is a valid outcome
+        assert!(width <= 3, "width {width}");
+        assert_eq!(bound, 1);
+        assert!(!promoted.is_empty());
     }
 
     #[test]
-    fn prepared_plan_agrees_with_count_explain() {
-        let cases = [
-            "r(a, b). r(b, c). ans(X) :- r(X, Y).",
-            "e(a, b). e(b, c). e(c, a). ans(X, Y) :- e(X, Y), e(Y, Z), e(Z, X).",
-            "r(y1, a). r(y1, b). r(y2, b). ans(X1, X2) :- r(Y, X1), r(Y, X2).",
-        ];
-        for src in cases {
-            let (q, db) = parse_program(src).unwrap();
-            let q = q.unwrap();
-            let plan = prepare_plan(&q, WIDTH_CAP);
-            let (n, chosen) =
-                count_prepared(&q, &db, &plan, &Budget::unlimited()).expect("unlimited");
-            let (expected_n, expected_plan) = count_explain(&q, &db);
-            assert_eq!(n, expected_n, "{src}");
-            assert_eq!(chosen, expected_plan, "{src}");
-        }
-    }
-
-    #[test]
-    fn prepared_plan_hybrid_fallback_agrees() {
-        use cqcount_workloads::paper::{hybrid_database, hybrid_query};
-        let q = hybrid_query(3);
-        let db = hybrid_database(3);
-        let plan = prepare_plan(&q, WIDTH_CAP);
-        assert!(plan.sharp.is_none(), "width 4 query must not fit cap 3");
-        assert!(plan.describe().starts_with("fallback"));
+    fn brute_force_reason_names_the_failed_rungs() {
+        // A triangle is cyclic, so neither rung fits a width-1 cap.
+        let (q, db) =
+            parse_program("e(a, b). e(b, c). e(c, a). ans(X, Y) :- e(X, Y), e(Y, Z), e(Z, X).")
+                .unwrap();
+        let q = q.unwrap();
+        let plan = prepare_plan(&q, 1);
+        assert!(plan.sharp.is_none() && !plan.degraded);
         let (n, chosen) = count_prepared(&q, &db, &plan, &Budget::unlimited()).unwrap();
-        assert_eq!(n, 8u64.into());
-        assert!(matches!(chosen, Plan::Hybrid { .. }), "got {chosen:?}");
+        assert_eq!(n, count_brute_force(&q, &db));
+        let Plan::BruteForce { reason } = chosen else {
+            panic!("expected brute force, got {chosen:?}");
+        };
+        assert_eq!(
+            reason,
+            "#-hypertree width > 1 and no hybrid decomposition with degree ≤ 8"
+        );
     }
 
     #[test]
     fn count_prepared_respects_a_tripped_budget() {
         let (q, db) = parse_program("r(a, b). r(b, c). ans(X) :- r(X, Y).").unwrap();
         let q = q.unwrap();
-        let plan = prepare_plan(&q, WIDTH_CAP);
-        let budget = crate::budget::Budget::with_deadline(std::time::Duration::from_millis(0));
-        assert!(matches!(
-            count_prepared(&q, &db, &plan, &budget),
-            Err(crate::error::PlanError::BudgetExceeded { .. })
-        ));
+        let tripped = crate::budget::Budget::with_deadline(std::time::Duration::from_millis(0));
+        // Both a found decomposition and a degraded plan's ladder give up.
+        let degraded = prepare_plan_budgeted(&q, WIDTH_CAP, &tripped);
+        assert!(degraded.degraded);
+        for plan in [prepare_plan(&q, WIDTH_CAP), degraded] {
+            assert!(matches!(
+                count_prepared(&q, &db, &plan, &tripped),
+                Err(crate::error::PlanError::BudgetExceeded { .. })
+            ));
+        }
     }
 
     #[test]
@@ -516,14 +411,12 @@ mod tests {
         let plan = prepare_plan_budgeted(&q, WIDTH_CAP, &tripped);
         assert!(plan.degraded, "a tripped budget must cut the search short");
         assert!(plan.sharp.is_none());
-        assert!(plan.describe().starts_with("degraded"));
         // The unlimited path is unchanged.
         assert!(!prepare_plan(&q, WIDTH_CAP).degraded);
     }
 
     #[test]
-    fn resilient_count_on_degraded_plan_is_exact_and_flagged() {
-        use crate::brute::count_brute_force;
+    fn count_prepared_on_degraded_plan_is_exact_and_flagged() {
         let cases = [
             // full acyclic: the ladder's Yannakakis rung
             "r(a, b). r(b, c). ans(X, Y) :- r(X, Y).",
@@ -540,52 +433,13 @@ mod tests {
             assert!(plan.degraded, "{src}");
             // Fresh budget for the count itself: planning degraded, the
             // count still completes.
-            let (n, chosen, degraded) =
-                count_prepared_resilient(&q, &db, &plan, &Budget::unlimited()).expect(src);
+            let (n, chosen) = count_prepared(&q, &db, &plan, &Budget::unlimited()).expect(src);
             assert_eq!(n, count_brute_force(&q, &db), "{src}");
-            assert!(degraded, "{src}");
-            assert!(matches!(chosen, Plan::BruteForce { .. }), "{src}");
+            let Plan::BruteForce { reason } = chosen else {
+                panic!("{src}: degraded plan chose {chosen:?}");
+            };
+            assert!(reason.starts_with("degraded"), "{src}: {reason}");
         }
-    }
-
-    #[test]
-    fn resilient_count_matches_count_prepared_when_not_degraded() {
-        use cqcount_workloads::paper::{hybrid_database, hybrid_query};
-        let cases = [
-            "r(a, b). r(b, c). ans(X) :- r(X, Y).",
-            "e(a, b). e(b, c). e(c, a). ans(X, Y) :- e(X, Y), e(Y, Z), e(Z, X).",
-        ];
-        for src in cases {
-            let (q, db) = parse_program(src).unwrap();
-            let q = q.unwrap();
-            let plan = prepare_plan(&q, WIDTH_CAP);
-            let (n, chosen, degraded) =
-                count_prepared_resilient(&q, &db, &plan, &Budget::unlimited()).unwrap();
-            let (en, ep) = count_prepared(&q, &db, &plan, &Budget::unlimited()).unwrap();
-            assert_eq!((n, chosen), (en, ep), "{src}");
-            assert!(!degraded, "{src}");
-        }
-        // Hybrid fallback path agrees too.
-        let q = hybrid_query(3);
-        let db = hybrid_database(3);
-        let plan = prepare_plan(&q, WIDTH_CAP);
-        let (n, chosen, degraded) =
-            count_prepared_resilient(&q, &db, &plan, &Budget::unlimited()).unwrap();
-        assert_eq!(n, 8u64.into());
-        assert!(matches!(chosen, Plan::Hybrid { .. }));
-        assert!(!degraded);
-    }
-
-    #[test]
-    fn resilient_count_still_errors_when_everything_is_out_of_budget() {
-        let (q, db) = parse_program("r(a, b). r(b, c). ans(X) :- r(X, Y).").unwrap();
-        let q = q.unwrap();
-        let tripped = crate::budget::Budget::with_deadline(std::time::Duration::from_millis(0));
-        let plan = prepare_plan_budgeted(&q, WIDTH_CAP, &tripped);
-        assert!(matches!(
-            count_prepared_resilient(&q, &db, &plan, &tripped),
-            Err(crate::error::PlanError::BudgetExceeded { .. })
-        ));
     }
 
     #[test]

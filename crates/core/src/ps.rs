@@ -14,11 +14,11 @@
 //! `h = bound(D, HD)`, the run time is `O(|vertices| · m^{2k} · 4^h)` — the
 //! degree, not the database size, drives the exponential part.
 
-use crate::sharp::bag_views_with_kernel;
+use crate::sharp::bag_views;
 use cqcount_arith::Natural;
 use cqcount_decomp::Hypertree;
 use cqcount_query::ConjunctiveQuery;
-use cqcount_relational::{Bindings, Database, FxHashMap, JoinKernel};
+use cqcount_relational::{Bindings, Database, FxHashMap};
 
 /// A `#`-relation: canonical bindings-sets with multiplicities.
 type SharpRelation = FxHashMap<Bindings, Natural>;
@@ -97,30 +97,15 @@ pub fn count_pichler_skritek(q: &ConjunctiveQuery, db: &Database, ht: &Hypertree
     )
 }
 
-/// Completes `ht` for `q` and materializes the per-vertex views `r_p`
-/// (kernel from the environment, default `Auto`).
+/// Completes `ht` for `q` and materializes the per-vertex views `r_p`.
 pub(crate) fn completed_views(
     q: &ConjunctiveQuery,
     db: &Database,
     ht: &Hypertree,
 ) -> (Hypertree, Vec<Bindings>) {
-    completed_views_with_kernel(q, db, ht, JoinKernel::from_env())
-}
-
-/// [`completed_views`] with an explicit per-bag join kernel.
-pub(crate) fn completed_views_with_kernel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    ht: &Hypertree,
-    kernel: JoinKernel,
-) -> (Hypertree, Vec<Bindings>) {
-    let atom_nodes: Vec<cqcount_hypergraph::NodeSet> = q
-        .atoms()
-        .iter()
-        .map(|a| a.vars().iter().map(|v| v.node()).collect())
-        .collect();
+    let atom_nodes = crate::sharp::atom_nodesets(q);
     let complete = ht.complete(&(0..q.atoms().len()).collect::<Vec<_>>(), &atom_nodes);
-    let views = bag_views_with_kernel(q, db, &complete, kernel);
+    let views = bag_views(q, db, &complete);
     (complete, views)
 }
 

@@ -7,7 +7,7 @@ use cqcount_query::canonical::atom_bindings;
 use cqcount_query::color::{color, uncolor};
 use cqcount_query::hom::has_homomorphism;
 use cqcount_query::{Atom, ConjunctiveQuery, Term};
-use cqcount_relational::{wcoj_join, Bindings, Database, JoinKernel, Relation, WcojInput};
+use cqcount_relational::{wcoj_join, Bindings, Database, Relation, WcojInput};
 
 /// A `#`-hypertree decomposition (or a `#`-decomposition w.r.t. views):
 /// a decomposition covering both the hypergraph of (the uncolored version
@@ -131,33 +131,20 @@ pub fn sharp_decomposition_wrt_views(
     None
 }
 
-/// Total rows in the bags' λ-relations below which [`bag_views_with_kernel`]
+/// Total rows in the bags' λ-relations below which [`bag_views`]
 /// builds every bag on the calling thread: on small inputs a pool round
 /// trip costs more than the bags it would overlap.
 const PAR_MIN_ROWS: usize = 4096;
 
 /// Materializes the per-vertex relations `r_p = π_{χ(p)}(⋈_{a ∈ λ(p)} a^D)`
-/// of a decomposition whose `λ` indexes `q`'s atoms, with the join kernel
-/// taken from `CQCOUNT_JOIN_KERNEL` (default: [`JoinKernel::Auto`]).
+/// of a decomposition whose `λ` indexes `q`'s atoms. Each bag is joined by
+/// the leapfrog multiway intersection when [`wcoj_applies`], else by a fold
+/// of binary sort-merge joins.
 pub fn bag_views(q: &ConjunctiveQuery, db: &Database, ht: &Hypertree) -> Vec<Bindings> {
-    bag_views_with_kernel(q, db, ht, JoinKernel::from_env())
-}
-
-/// [`bag_views`] with an explicit kernel choice. `SortMerge` folds binary
-/// hash joins; `Wcoj` runs the leapfrog multiway intersection over every
-/// multi-atom bag; `Auto` reserves leapfrog for bags whose λ-atoms form a
-/// cyclic sub-hypergraph — exactly where a binary join order must
-/// materialize an intermediate larger than the AGM-bounded output.
-pub fn bag_views_with_kernel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    ht: &Hypertree,
-    kernel: JoinKernel,
-) -> Vec<Bindings> {
     let build = |&p: &usize| {
         let chi_cols: Vec<u32> = ht.chi[p].to_vec();
         let lam = &ht.lambda[p];
-        if wcoj_applies(q, lam, kernel) {
+        if wcoj_applies(q, lam) {
             return wcoj_bag(q, db, lam).project(&chi_cols);
         }
         let mut acc = Bindings::unit();
@@ -183,23 +170,20 @@ pub fn bag_views_with_kernel(
     }
 }
 
-/// Should this bag's λ-atoms be joined with the leapfrog kernel?
-fn wcoj_applies(q: &ConjunctiveQuery, lam: &[usize], kernel: JoinKernel) -> bool {
-    match kernel {
-        JoinKernel::SortMerge => false,
-        JoinKernel::Wcoj => lam.len() >= 2,
-        JoinKernel::Auto => {
-            lam.len() >= 2 && {
-                let h = Hypergraph::from_edges(lam.iter().map(|&ai| {
-                    q.atoms()[ai]
-                        .vars()
-                        .iter()
-                        .map(|v| v.node())
-                        .collect::<Vec<_>>()
-                }));
-                !is_acyclic(&h)
-            }
-        }
+/// Does [`bag_views`] join this bag's λ-atoms with the leapfrog kernel?
+/// Exactly when they form a cyclic hypergraph — where a binary join order
+/// must materialize an intermediate larger than the AGM-bounded output.
+/// Acyclic bags take the binary sort-merge fold.
+pub fn wcoj_applies(q: &ConjunctiveQuery, lam: &[usize]) -> bool {
+    lam.len() >= 2 && {
+        let h = Hypergraph::from_edges(lam.iter().map(|&ai| {
+            q.atoms()[ai]
+                .vars()
+                .iter()
+                .map(|v| v.node())
+                .collect::<Vec<_>>()
+        }));
+        !is_acyclic(&h)
     }
 }
 

@@ -1,5 +1,5 @@
 //! The count path's one pool call — the per-bag view build in
-//! `sharp::bag_views_with_kernel` — is entered only when the bags'
+//! `sharp::bag_views` — is entered only when the bags'
 //! λ-relations hold at least 4096 rows in total. These tests count over a
 //! seeded graph large enough to cross that gate, heap-backed and loaded
 //! from a store image, at several lane counts, against the full-join

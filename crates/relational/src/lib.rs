@@ -43,7 +43,7 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use relation::Relation;
 pub use store::{LoadedStore, StoreError};
 pub use value::{Interner, Value};
-pub use wcoj::{wcoj_join, JoinKernel, WcojInput};
+pub use wcoj::{wcoj_join, WcojInput};
 
 /// A column identifier (the relational engine's view of a query variable).
 pub type Col = u32;

@@ -57,7 +57,7 @@ use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
-/// File magic; also the discriminator against legacy `CQSNAP1\n` snapshots.
+/// File magic: `open_store` rejects any file that does not start with it.
 pub const STORE_MAGIC: &[u8; 8] = b"CQSTORE2";
 /// Current format version.
 pub const STORE_VERSION: u32 = 2;

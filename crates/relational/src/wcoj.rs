@@ -19,35 +19,12 @@
 //! Output rows are produced in ascending lexicographic order over the
 //! sorted union of columns, so the resulting [`Bindings`] needs no
 //! canonicalizing sort either.
+//!
+//! The counting pipeline hands a bag to this kernel exactly when the bag's
+//! λ-atoms form a cyclic hypergraph (`cqcount_core::sharp::wcoj_applies`);
+//! acyclic bags keep the binary fold.
 
 use crate::{Bindings, Col, Relation, Tuple, Value};
-
-/// Which join kernel a plan (or a bag) should use. The planner selects
-/// [`Wcoj`](JoinKernel::Wcoj) for cyclic bags; `CQCOUNT_JOIN_KERNEL`
-/// (`auto` / `sortmerge` / `wcoj`) overrides it for experiments.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum JoinKernel {
-    /// Per-bag choice: wcoj on cyclic λ-sets, sort-merge elsewhere.
-    #[default]
-    Auto,
-    /// Always fold binary sort-merge joins.
-    SortMerge,
-    /// Always run the multiway leapfrog kernel (bags with ≥ 2 atoms).
-    Wcoj,
-}
-
-impl JoinKernel {
-    /// The kernel selected by the `CQCOUNT_JOIN_KERNEL` environment
-    /// override (`auto`, `sortmerge`/`sort-merge`, `wcoj`/`leapfrog`).
-    /// Unset or unrecognized values fall back to [`JoinKernel::Auto`].
-    pub fn from_env() -> JoinKernel {
-        match std::env::var("CQCOUNT_JOIN_KERNEL").ok().as_deref() {
-            Some("sortmerge") | Some("sort-merge") => JoinKernel::SortMerge,
-            Some("wcoj") | Some("leapfrog") => JoinKernel::Wcoj,
-            _ => JoinKernel::Auto,
-        }
-    }
-}
 
 /// A sorted row set the kernel can descend: boxed [`Bindings`] rows or a
 /// flat frozen page viewed in place.

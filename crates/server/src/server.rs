@@ -51,9 +51,7 @@ use crate::protocol::{
     MAX_SPAN_DEPTH, MAX_SPAN_FIELDS, MAX_SPAN_NODES,
 };
 use crate::reactor::{run_reactor, Completion, ReactorConfig, ReactorSet};
-use cqcount_core::planner::{
-    count_prepared_resilient, prepare_plan_budgeted, WidthReport, WIDTH_CAP,
-};
+use cqcount_core::planner::{count_prepared, prepare_plan_budgeted, WidthReport, WIDTH_CAP};
 use cqcount_core::{for_each_answer, Budget, PlanError};
 use cqcount_exec::BoundedQueue;
 use cqcount_obs::flight::{FlightRecorder, RetainReason};
@@ -1859,8 +1857,11 @@ fn run_count(
     // Level 1: the prepared plan (degraded plans skip the cache).
     let budget = budget_for(shared, budget_ms, faults);
     let (entry, plan_hit) = plan_for(shared, &fp.text, &q, &budget);
-    match count_prepared_resilient(&q, &db, &entry.prepared, &budget) {
-        Ok((n, plan, degraded)) => {
+    match count_prepared(&q, &db, &entry.prepared, &budget) {
+        Ok((n, plan)) => {
+            // A degraded plan has no decomposition, so a degradation rung
+            // (never the structurally chosen algorithm) produced the count.
+            let degraded = entry.prepared.degraded;
             // Exact regardless of degradation, so always cacheable.
             shared.counts.insert(
                 key,

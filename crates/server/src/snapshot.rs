@@ -10,10 +10,9 @@
 //! on the mapped region until a mutation thaws them, and consecutive
 //! epochs share unchanged pages copy-on-write.
 //!
-//! The previous generation's format (`CQSNAP1\n` | uleb body | crc32) is
-//! still *read*: recovery dispatches on the 8-byte magic, so a daemon
-//! upgraded in place recovers its old snapshots and writes store images
-//! from then on.
+//! A store image is the only snapshot format; a file in any other format
+//! (such as the retired pre-store `CQSNAP1` layout) fails to open and is
+//! skipped like a corrupt one.
 //!
 //! Writes are atomic: encode to `snapshot.tmp`, fsync, rename onto
 //! `snap-<epoch>-<seq>.cqs` (fixed-width hex, so lexicographic order is
@@ -22,7 +21,6 @@
 //! first one whose CRC checks out, then replays the WAL tail strictly
 //! above its sequence — see [`recover_db`] for the exact skip/stop rules.
 
-use crate::protocol::{read_str, read_uleb};
 use crate::wal::{scan_wal, truncate_to, wal_path};
 use cqcount_relational::store::{encode_store, open_store};
 use cqcount_relational::{Database, StoreError};
@@ -30,76 +28,18 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-const LEGACY_MAGIC: &[u8; 8] = b"CQSNAP1\n";
 const TMP_FILE: &str = "snapshot.tmp";
 /// How many generations survive pruning. Two: the newest, plus its
 /// predecessor as a fallback if the newest turns out unreadable later.
 const KEEP_SNAPSHOTS: usize = 2;
 
-/// CRC-32 shared with the WAL (same polynomial, same table).
-use crate::wal::crc32;
-
-/// Loads one snapshot file of either generation: store images are opened
-/// through [`open_store`] (mmap when possible); anything starting with
-/// the legacy magic goes through the uleb decoder. Every failure is a
-/// `skip` for the caller — recovery falls back to the previous file.
+/// Loads one snapshot file: a store image opened through [`open_store`]
+/// (mmap when possible). Every failure — including a file in any other
+/// format — is a `skip` for the caller; recovery falls back to the
+/// previous file.
 fn load_snapshot(path: &Path) -> Result<(Database, u64, u64), String> {
-    // Dispatch on the 8-byte magic (a legacy file can be shorter than a
-    // store header, so the store opener alone cannot classify it).
-    let mut magic = [0u8; 8];
-    {
-        use std::io::Read;
-        let mut f = File::open(path).map_err(|e| e.to_string())?;
-        f.read_exact(&mut magic).map_err(|e| e.to_string())?;
-    }
-    if &magic == LEGACY_MAGIC {
-        let bytes = fs::read(path).map_err(|e| e.to_string())?;
-        return decode_legacy(&bytes);
-    }
     let loaded = open_store(path).map_err(|e: StoreError| e.to_string())?;
     Ok((loaded.db, loaded.epoch, loaded.seq))
-}
-
-/// Decodes and verifies a legacy (`CQSNAP1`) snapshot file's bytes.
-fn decode_legacy(bytes: &[u8]) -> Result<(Database, u64, u64), String> {
-    let rest = bytes
-        .strip_prefix(LEGACY_MAGIC)
-        .ok_or("bad snapshot magic")?;
-    if rest.len() < 4 {
-        return Err("snapshot too short for checksum".into());
-    }
-    let (body, crc_bytes) = rest.split_at(rest.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != stored {
-        return Err("snapshot checksum mismatch".into());
-    }
-    let mut pos = 0usize;
-    let epoch = read_uleb(body, &mut pos)?;
-    let seq = read_uleb(body, &mut pos)?;
-    let nrels = read_uleb(body, &mut pos)?;
-    let mut db = Database::default();
-    for _ in 0..nrels {
-        let name = read_str(body, &mut pos)?;
-        let arity = read_uleb(body, &mut pos)? as usize;
-        if arity > crate::protocol::MAX_TUPLE_ARITY {
-            return Err(format!("snapshot claims arity {arity}"));
-        }
-        let ntuples = read_uleb(body, &mut pos)?;
-        db.ensure_relation(&name, arity);
-        for _ in 0..ntuples {
-            let mut values = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                values.push(read_str(body, &mut pos)?);
-            }
-            let refs: Vec<&str> = values.iter().map(String::as_str).collect();
-            db.add_fact(&name, &refs);
-        }
-    }
-    if pos != body.len() {
-        return Err("trailing bytes in snapshot body".into());
-    }
-    db.set_mutation_seq(seq);
-    Ok((db, epoch, seq))
 }
 
 fn snap_file_name(epoch: u64, seq: u64) -> String {
@@ -372,46 +312,42 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// Writes a previous-generation (`CQSNAP1`) snapshot file, as an
-    /// upgraded-in-place daemon would find on disk.
-    fn write_legacy_snapshot(db_dir: &Path, db: &Database, epoch: u64) {
-        use crate::protocol::{write_str, write_uleb};
-        let seq = db.mutation_seq();
-        let mut rels: Vec<_> = db.relations().collect();
-        rels.sort_by_key(|(name, _)| name.to_owned());
-        let mut body = Vec::new();
-        write_uleb(&mut body, epoch);
-        write_uleb(&mut body, seq);
-        write_uleb(&mut body, rels.len() as u64);
-        let interner = db.interner();
-        for (name, rel) in rels {
-            write_str(&mut body, name);
-            write_uleb(&mut body, rel.arity() as u64);
-            write_uleb(&mut body, rel.len() as u64);
-            for tuple in rel.iter() {
-                for &v in tuple.iter() {
-                    write_str(&mut body, interner.name(v));
-                }
-            }
-        }
-        let mut bytes = LEGACY_MAGIC.to_vec();
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-        fs::write(db_dir.join(snap_file_name(epoch, seq)), bytes).unwrap();
-    }
-
     #[test]
-    fn legacy_snapshots_still_recover() {
-        let dir = tmpdir("legacy");
+    fn foreign_format_snapshot_is_skipped_for_the_older_image() {
+        use crate::protocol::MutationOp;
+        use crate::wal::{WalRecord, WalWriter};
+        let dir = tmpdir("foreign");
         let mut db = Database::default();
         db.add_fact("r", &["a", "b"]);
-        db.add_fact("s", &["weird value", "has (parens)."]);
-        db.insert_tuple("r", &["b", "c"]).unwrap();
-        write_legacy_snapshot(&dir, &db, 7);
+        write_snapshot(&dir, &db, 1, || {}).unwrap();
+        // Two mutations land in the WAL after the image.
+        let mut wal = WalWriter::open(&wal_path(&dir), None, None).unwrap();
+        for v in ["c", "d"] {
+            db.insert_tuple("r", &["b", v]).unwrap();
+            let op = MutationOp {
+                insert: true,
+                rel: "r".into(),
+                values: vec!["b".into(), v.into()],
+            };
+            let record = WalRecord {
+                epoch: 1,
+                seq_after: db.mutation_seq(),
+                ops: vec![op],
+            };
+            wal.append(&record).unwrap();
+        }
+        wal.sync().unwrap();
+        // A newer file in the retired pre-store format (magic `CQSNAP1\n`)
+        // is not a store image: recovery skips it like any corrupt file.
+        let mut foreign = b"CQSNAP1\n".to_vec();
+        foreign.extend_from_slice(&[0x01, 0x02, 0x7f, 0xff, 0x00, 0x13, 0x37]);
+        fs::write(dir.join(snap_file_name(1, 2)), foreign).unwrap();
         let rec = recover_db(&dir).unwrap();
         assert!(rec.snapshot_loaded);
-        assert_eq!(rec.epoch, 7);
-        assert_eq!(rec.db.mutation_seq(), 1);
+        assert_eq!(rec.snapshots_skipped, 1);
+        assert_eq!(rec.epoch, 1);
+        assert_eq!(rec.replayed, 2);
+        assert_eq!(rec.db.mutation_seq(), 2);
         assert_eq!(rec.db.fingerprint(), db.fingerprint());
         fs::remove_dir_all(&dir).ok();
     }

@@ -113,7 +113,9 @@ fn run(args: &[String]) -> Result<(), String> {
             let opts = parse_opts(&args[1..])?;
             let (q, db) = load(&opts.file)?;
             if opts.explain && opts.alg == "auto" {
-                let (n, plan) = cqcount::core::planner::count_explain(&q, &db);
+                let prepared = prepare_plan(&q, cqcount::core::planner::WIDTH_CAP);
+                let (n, plan) = count_prepared(&q, &db, &prepared, &Budget::unlimited())
+                    .map_err(|e| e.to_string())?;
                 match plan {
                     cqcount::core::planner::Plan::SharpPipeline { width } => {
                         eprintln!("plan: #-hypertree pipeline, width {width} (Theorem 1.3)");

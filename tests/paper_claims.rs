@@ -1,6 +1,7 @@
 //! End-to-end checks of the paper's headline claims, on the paper's own
 //! instance families (integration across all crates).
 
+use cqcount::core::planner::WIDTH_CAP;
 use cqcount::prelude::*;
 use cqcount::workloads::paper::*;
 use cqcount::workloads::random::{random_database, random_query, RandomCqConfig, RandomDbConfig};
@@ -141,4 +142,55 @@ fn planner_agreement_sweep() {
             "seed {seed}"
         );
     }
+}
+
+/// Every head of Q0 over the paper's Example 1.1 instance goes through the
+/// one planner entry — `prepare_plan` then `count_prepared`, the pair
+/// `count_auto` runs — and must agree with brute force. All 460 heads with
+/// a `#`-hypertree decomposition within the width cap are counted, plus
+/// the first 4 of the 51 that fall back to the hybrid/enumeration rungs
+/// (all of them under `exhaustive-tests`).
+#[test]
+fn q0_head_sweep_through_the_one_entry() {
+    const BODY: &str = "mw(A, B, I), wt(B, D), wi(B, E), pt(C, D), \
+                        st(D, F), st(D, G), rr(G, H), rr(F, H), rr(D, H)";
+    const VARS: [&str; 9] = ["A", "B", "C", "D", "E", "F", "G", "H", "I"];
+    const FALLBACKS_CHECKED: usize = if cfg!(feature = "exhaustive-tests") {
+        usize::MAX
+    } else {
+        4
+    };
+    let db = parse_database(include_str!("../crates/server/fixtures/example11.cq")).unwrap();
+    let (mut sharp, mut fallback) = (0usize, 0usize);
+    for mask in 1u32..1 << VARS.len() {
+        let head: Vec<&str> = (0..VARS.len())
+            .filter(|i| mask >> i & 1 == 1)
+            .map(|i| VARS[i])
+            .collect();
+        let q = parse_query(&format!("ans({}) :- {BODY}.", head.join(", "))).unwrap();
+        let plan = prepare_plan(&q, WIDTH_CAP);
+        match &plan.sharp {
+            Some(_) => sharp += 1,
+            None => {
+                fallback += 1;
+                if fallback > FALLBACKS_CHECKED {
+                    continue;
+                }
+            }
+        }
+        let (n, chosen) = count_prepared(&q, &db, &plan, &Budget::unlimited()).unwrap();
+        assert_eq!(n, count_brute_force(&q, &db), "head {head:?}");
+        if let Some(sd) = &plan.sharp {
+            assert_eq!(
+                chosen,
+                Plan::SharpPipeline { width: sd.width },
+                "head {head:?}"
+            );
+        }
+    }
+    assert_eq!(
+        (sharp, fallback),
+        (460, 51),
+        "heads planned within / beyond the cap"
+    );
 }
