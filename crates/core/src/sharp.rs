@@ -132,8 +132,8 @@ pub fn sharp_decomposition_wrt_views(
 }
 
 /// Total rows in the bags' λ-relations below which [`bag_views`]
-/// builds every bag on the calling thread: on small inputs a pool round
-/// trip costs more than the bags it would overlap.
+/// builds every bag on the calling thread: on small inputs spawning lanes
+/// costs more than the bags it would overlap.
 const PAR_MIN_ROWS: usize = 4096;
 
 /// Materializes the per-vertex relations `r_p = π_{χ(p)}(⋈_{a ∈ λ(p)} a^D)`
@@ -154,7 +154,7 @@ pub fn bag_views(q: &ConjunctiveQuery, db: &Database, ht: &Hypertree) -> Vec<Bin
         acc.project(&chi_cols)
     };
     // One independent join-then-project per tree vertex. This is the count
-    // path's only pool call, and only large inputs take it; results come
+    // path's only parallel call, and only large inputs take it; results come
     // back in vertex order either way.
     let vertices: Vec<usize> = (0..ht.len()).collect();
     let lambda_rows: usize = ht

@@ -1,4 +1,4 @@
-//! The count path's one pool call — the per-bag view build in
+//! The count path's one parallel call — the per-bag view build in
 //! `sharp::bag_views` — is entered only when the bags'
 //! λ-relations hold at least 4096 rows in total. These tests count over a
 //! seeded graph large enough to cross that gate, heap-backed and loaded
@@ -12,7 +12,7 @@ use cqcount_obs::trace;
 use cqcount_query::{parse_query, ConjunctiveQuery};
 use cqcount_relational::store::{encode_store, open_store};
 use cqcount_relational::Database;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 const QUERIES: [&str; 3] = [
     "ans(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).",
@@ -37,19 +37,37 @@ fn graph(nodes: u32, edges: usize, seed: u64) -> Database {
 }
 
 /// Counts `q` through its `#`-hypertree decomposition under a trace
-/// session, returning the count and how many pool tasks (`exec.task`
-/// spans) the count ran.
-fn traced_count(q: &ConjunctiveQuery, db: &Database) -> (cqcount_arith::Natural, usize) {
+/// session, returning the count, the number of bags `bag_views` builds
+/// (those of the decomposition completed with every atom) and how many
+/// `par_map` blocks (`exec.task` spans) the count ran. Every task must hang
+/// under the test's root span, even those recorded on lanes that exited
+/// before the trace was collected.
+fn traced_count(q: &ConjunctiveQuery, db: &Database) -> (cqcount_arith::Natural, usize, usize) {
     let _session = trace::TraceSession::begin();
     let root = trace::span("test.count");
     let id = root.id();
-    let (n, _) = count_via_sharp_decomposition(q, db, 4).expect("width ≤ 4");
+    let (n, sd) = count_via_sharp_decomposition(q, db, 4).expect("width ≤ 4");
     drop(root);
-    let tasks = trace::collect(id)
+    let records = trace::collect(id);
+    let parent_of: HashMap<u64, u64> = records.iter().map(|r| (r.id, r.parent)).collect();
+    let tasks: Vec<_> = records.iter().filter(|r| r.name == "exec.task").collect();
+    for task in &tasks {
+        let mut at = task.parent;
+        while at != id.raw() {
+            at = *parent_of
+                .get(&at)
+                .unwrap_or_else(|| panic!("exec.task {} is cut off from the root", task.id));
+        }
+    }
+    let atoms: Vec<cqcount_hypergraph::NodeSet> = sd
+        .qprime
+        .atoms()
         .iter()
-        .filter(|r| r.name == "exec.task")
-        .count();
-    (n, tasks)
+        .map(|a| a.vars().iter().map(|v| v.node()).collect())
+        .collect();
+    let needed: Vec<usize> = (0..atoms.len()).collect();
+    let bags = sd.hypertree.complete(&needed, &atoms).len();
+    (n, bags, tasks.len())
 }
 
 #[test]
@@ -66,12 +84,16 @@ fn large_counts_cross_the_bag_gate_and_match_the_full_join() {
         assert!(!expected.is_zero(), "{src}: the instance must have answers");
         for (backing, db) in [("heap", &heap), ("store", &stored)] {
             for threads in [1usize, 2, 8] {
-                let (n, tasks) = with_threads(threads, || traced_count(&q, db));
+                let (n, bags, tasks) = with_threads(threads, || traced_count(&q, db));
                 assert_eq!(n, expected, "{src} on {backing} at {threads} threads");
                 if threads == 1 {
-                    assert_eq!(tasks, 0, "{src}: one lane never enters the pool");
+                    assert_eq!(tasks, 0, "{src}: one lane never spawns a lane");
                 } else {
-                    assert!(tasks > 0, "{src} on {backing}: the gate was not crossed");
+                    assert_eq!(
+                        tasks,
+                        (4 * threads).min(bags),
+                        "{src} on {backing} at {threads} lanes: one task per block"
+                    );
                 }
             }
         }
@@ -83,8 +105,8 @@ fn small_counts_stay_on_the_calling_thread() {
     let db = graph(8, 16, 0x516);
     for src in QUERIES {
         let q = parse_query(src).unwrap();
-        let (n, tasks) = with_threads(8, || traced_count(&q, &db));
+        let (n, _, tasks) = with_threads(8, || traced_count(&q, &db));
         assert_eq!(n, count_via_full_join(&q, &db), "{src}");
-        assert_eq!(tasks, 0, "{src}: a 16-tuple count entered the pool");
+        assert_eq!(tasks, 0, "{src}: a 16-tuple count ran par_map blocks");
     }
 }

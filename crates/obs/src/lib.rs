@@ -9,8 +9,8 @@
 //!   session *is* active, finished spans are buffered in per-thread ring
 //!   buffers (one short mutex tap per span, never contended in the common
 //!   case because each thread owns its own ring) and drained by the
-//!   collector that owns the request — pool workers attribute their work to
-//!   the originating request through explicit parent [`trace::SpanId`]s.
+//!   collector that owns the request — `par_map` lanes attribute their work
+//!   to the originating request through explicit parent [`trace::SpanId`]s.
 //! * **Metrics** are plain `Arc<AtomicU64>` handles (counters, gauges) and
 //!   fixed-bucket histograms (`observe` is two atomic adds and an atomic
 //!   increment; quantiles are estimated at read time from the bucket

@@ -14,8 +14,8 @@
 //!   [`dropped`]). Counters and tags attach to the active entry without
 //!   heap allocation for the keys (`&'static str`).
 //! * Spans carry **explicit IDs** ([`SpanId`], from a global monotonic
-//!   counter) so work can hop threads: a pool worker opens its span with
-//!   [`span_under`]`(parent, ..)` where `parent` was captured on the
+//!   counter) so work can hop threads: a `par_map` lane opens its span
+//!   with [`span_under`]`(parent, ..)` where `parent` was captured on the
 //!   submitting thread via [`current`].
 //! * A **collector** ([`collect`]) drains every thread ring into a global
 //!   pending pool and extracts exactly the records whose parent chain leads
@@ -165,7 +165,7 @@ struct ThreadRing {
 }
 
 // The registry holds *strong* references so a ring outlives its thread:
-// pool workers and short-lived threads may finish (and exit) before the
+// `par_map` lanes and other short-lived threads usually exit before the
 // collector runs, and their records must survive until drained. Rings of
 // dead threads are pruned in `collect` once they have been emptied.
 fn registry() -> &'static Mutex<Vec<Arc<ThreadRing>>> {
@@ -314,7 +314,7 @@ pub fn span(name: &'static str) -> Span {
 }
 
 /// Open a span under an explicit parent — the cross-thread variant used by
-/// pool workers. Unarmed when tracing is disabled or `parent` is
+/// `par_map` lanes. Unarmed when tracing is disabled or `parent` is
 /// [`SpanId::NONE`].
 #[inline]
 pub fn span_under(parent: SpanId, name: &'static str) -> Span {

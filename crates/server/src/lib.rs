@@ -60,7 +60,9 @@ pub mod client;
 pub mod durable;
 pub mod faults;
 pub mod mutation;
+mod poll;
 pub mod protocol;
+mod queue;
 mod reactor;
 pub mod server;
 mod snapshot;

@@ -13,8 +13,6 @@
 //! socketpair, which `poll` treats like any other fd — so worker threads
 //! can interrupt a sleeping event loop without a timeout dance.
 
-#![cfg(unix)]
-
 use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
@@ -23,26 +21,26 @@ use std::time::Duration;
 /// `struct pollfd` from `<poll.h>`; layout fixed by POSIX.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
-pub struct PollFd {
-    pub fd: RawFd,
-    pub events: i16,
-    pub revents: i16,
+pub(crate) struct PollFd {
+    pub(crate) fd: RawFd,
+    pub(crate) events: i16,
+    pub(crate) revents: i16,
 }
 
 /// Readable (or a peer hangup that reads as EOF).
-pub const POLLIN: i16 = 0x001;
+pub(crate) const POLLIN: i16 = 0x001;
 /// Writable without blocking.
-pub const POLLOUT: i16 = 0x004;
+pub(crate) const POLLOUT: i16 = 0x004;
 /// Error condition (always polled, never requested).
-pub const POLLERR: i16 = 0x008;
+pub(crate) const POLLERR: i16 = 0x008;
 /// Peer hung up.
-pub const POLLHUP: i16 = 0x010;
+pub(crate) const POLLHUP: i16 = 0x010;
 /// The fd is not open — a bookkeeping bug on our side.
-pub const POLLNVAL: i16 = 0x020;
+pub(crate) const POLLNVAL: i16 = 0x020;
 
 impl PollFd {
     /// Watches `fd` for the interest set `events`.
-    pub fn new(fd: RawFd, events: i16) -> PollFd {
+    pub(crate) fn new(fd: RawFd, events: i16) -> PollFd {
         PollFd {
             fd,
             events,
@@ -51,17 +49,17 @@ impl PollFd {
     }
 
     /// Did the kernel flag any of `mask` on the last poll?
-    pub fn has(&self, mask: i16) -> bool {
+    pub(crate) fn has(&self, mask: i16) -> bool {
         self.revents & mask != 0
     }
 
     /// Readable, hung up, or errored — any reason to attempt a read.
-    pub fn readable(&self) -> bool {
+    pub(crate) fn readable(&self) -> bool {
         self.has(POLLIN | POLLHUP | POLLERR | POLLNVAL)
     }
 
     /// Writable or errored — any reason to attempt a write.
-    pub fn writable(&self) -> bool {
+    pub(crate) fn writable(&self) -> bool {
         self.has(POLLOUT | POLLERR | POLLHUP | POLLNVAL)
     }
 }
@@ -78,7 +76,7 @@ extern "C" {
 ///
 /// EINTR is retried internally with the timeout re-armed, so callers
 /// never observe spurious wakeups from signals.
-pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+pub(crate) fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
     let timeout_ms: std::ffi::c_int = match timeout {
         None => -1,
         // Round up so a 1 ns timeout still sleeps, and saturate far below
@@ -87,6 +85,9 @@ pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usi
         Some(d) => d.as_millis().min(i32::MAX as u128 / 2) as std::ffi::c_int,
     };
     loop {
+        // SAFETY: `PollFd` is `#[repr(C)]` with `struct pollfd`'s layout, and
+        // the pointer/length pair comes from a live, exclusively borrowed
+        // slice, so the kernel writes `revents` only inside it.
         let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout_ms) };
         if rc >= 0 {
             return Ok(rc as usize);
@@ -106,13 +107,13 @@ pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usi
 /// wake is already pending, which is exactly the semantic we want, so
 /// `WouldBlock` on the write side is success.
 #[derive(Debug)]
-pub struct WakePipe {
+pub(crate) struct WakePipe {
     rx: UnixStream,
     tx: UnixStream,
 }
 
 impl WakePipe {
-    pub fn new() -> io::Result<WakePipe> {
+    pub(crate) fn new() -> io::Result<WakePipe> {
         let (rx, tx) = UnixStream::pair()?;
         rx.set_nonblocking(true)?;
         tx.set_nonblocking(true)?;
@@ -120,12 +121,12 @@ impl WakePipe {
     }
 
     /// The fd the event loop adds to its poll set (interest: `POLLIN`).
-    pub fn poll_fd(&self) -> RawFd {
+    pub(crate) fn poll_fd(&self) -> RawFd {
         self.rx.as_raw_fd()
     }
 
     /// A cloneable waker handle for producer threads.
-    pub fn waker(&self) -> io::Result<Waker> {
+    pub(crate) fn waker(&self) -> io::Result<Waker> {
         Ok(Waker {
             tx: self.tx.try_clone()?,
         })
@@ -133,7 +134,7 @@ impl WakePipe {
 
     /// Drains pending wake bytes so the next poll blocks again. Call this
     /// whenever the poll reports the wake fd readable.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
             match (&self.rx).read(&mut buf) {
@@ -147,14 +148,14 @@ impl WakePipe {
 
 /// The sending half of a [`WakePipe`]; cheap to clone across threads.
 #[derive(Debug)]
-pub struct Waker {
+pub(crate) struct Waker {
     tx: UnixStream,
 }
 
 impl Waker {
     /// Interrupts the event loop. Never blocks; a full pipe already holds
     /// a pending wake, so dropping the byte is correct.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         let _ = (&self.tx).write(&[1u8]);
     }
 }

@@ -4,26 +4,24 @@
 //! wrong shape for a serving layer: an overloaded daemon must *reject*
 //! new work immediately instead of buffering it until memory runs out.
 //! [`BoundedQueue`] is the missing piece — `Mutex<VecDeque>` + `Condvar`,
-//! non-blocking producers ([`BoundedQueue::try_push`] fails fast when
-//! full), blocking consumers ([`BoundedQueue::pop`] parks until work or
-//! shutdown).
+//! non-blocking producers ([`BoundedQueue::try_push_batch`] hands back what
+//! does not fit), blocking consumers ([`BoundedQueue::pop`] parks until
+//! work or shutdown).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// A fixed-capacity FIFO shared between producers and consumers.
 ///
 /// Producers never block: a full (or closed) queue returns the rejected
-/// item so the caller can answer "overloaded" right away. Consumers block
+/// items so the caller can answer "overloaded" right away. Consumers block
 /// in [`BoundedQueue::pop`] until an item arrives or [`BoundedQueue::close`]
 /// drains the queue, at which point they observe `None` and exit.
 #[derive(Debug)]
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     state: Mutex<State<T>>,
     available: Condvar,
     capacity: usize,
-    rejected: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -34,7 +32,7 @@ struct State<T> {
 
 impl<T> BoundedQueue<T> {
     /// A queue holding at most `capacity` items (at least 1).
-    pub fn new(capacity: usize) -> BoundedQueue<T> {
+    pub(crate) fn new(capacity: usize) -> BoundedQueue<T> {
         BoundedQueue {
             state: Mutex::new(State {
                 items: VecDeque::new(),
@@ -42,54 +40,28 @@ impl<T> BoundedQueue<T> {
             }),
             available: Condvar::new(),
             capacity: capacity.max(1),
-            rejected: AtomicU64::new(0),
         }
     }
 
     /// The configured capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Pushes refused so far (queue full or closed) — the admission
-    /// controller's overload count.
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
     /// Items currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.state.lock().unwrap().items.len()
     }
 
-    /// Is the queue currently empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Enqueues without blocking. Returns `Err(item)` when the queue is
-    /// full or closed — the caller keeps the item and reports overload.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut s = self.state.lock().unwrap();
-        if s.closed || s.items.len() >= self.capacity {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(item);
-        }
-        s.items.push_back(item);
-        drop(s);
-        self.available.notify_one();
-        Ok(())
-    }
-
     /// Enqueues a batch under one lock acquisition: items that fit are
-    /// accepted in order, the overflow comes back in `Err`/the returned
-    /// `Vec` so the caller can reject each with an overload reply. One
-    /// `notify_all` covers the whole batch — this is the handoff path an
-    /// event loop uses to admit every request decoded from one readiness
-    /// sweep without `2 × batch` lock round-trips.
+    /// accepted in order, the overflow comes back in the returned `Vec` so
+    /// the caller can reject each with an overload reply. One `notify_all`
+    /// covers the whole batch — this is the handoff path an event loop uses
+    /// to admit every request decoded from one readiness sweep without
+    /// `2 × batch` lock round-trips.
     ///
     /// Returns the items that did NOT fit (empty when all were accepted).
-    pub fn try_push_batch(&self, items: impl IntoIterator<Item = T>) -> Vec<T> {
+    pub(crate) fn try_push_batch(&self, items: impl IntoIterator<Item = T>) -> Vec<T> {
         let mut it = items.into_iter();
         let mut overflow = Vec::new();
         let mut accepted = 0usize;
@@ -97,7 +69,6 @@ impl<T> BoundedQueue<T> {
             let mut s = self.state.lock().unwrap();
             for item in it.by_ref() {
                 if s.closed || s.items.len() >= self.capacity {
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
                     overflow.push(item);
                     break;
                 }
@@ -107,10 +78,7 @@ impl<T> BoundedQueue<T> {
         }
         // The rest of the iterator is rejected without re-taking the lock:
         // the queue was full (or closed) at the cut point.
-        for item in it {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            overflow.push(item);
-        }
+        overflow.extend(it);
         match accepted {
             0 => {}
             1 => self.available.notify_one(),
@@ -121,7 +89,7 @@ impl<T> BoundedQueue<T> {
 
     /// Blocks until an item is available (FIFO) or the queue is closed and
     /// drained, in which case it returns `None`.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut s = self.state.lock().unwrap();
         loop {
             if let Some(item) = s.items.pop_front() {
@@ -136,16 +104,11 @@ impl<T> BoundedQueue<T> {
 
     /// Closes the queue: future pushes fail, and consumers drain what is
     /// left, then observe `None`. Idempotent.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut s = self.state.lock().unwrap();
         s.closed = true;
         drop(s);
         self.available.notify_all();
-    }
-
-    /// Has the queue been closed?
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
     }
 }
 
@@ -158,46 +121,21 @@ mod tests {
     #[test]
     fn fifo_order_within_capacity() {
         let q = BoundedQueue::new(4);
-        for i in 0..4 {
-            q.try_push(i).unwrap();
-        }
+        assert!(q.try_push_batch(0..4).is_empty());
         assert_eq!(q.len(), 4);
         for i in 0..4 {
             assert_eq!(q.pop(), Some(i));
         }
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn full_queue_rejects_without_blocking() {
-        let q = BoundedQueue::new(2);
-        q.try_push("a").unwrap();
-        q.try_push("b").unwrap();
-        assert_eq!(q.try_push("c"), Err("c"));
-        assert_eq!(q.pop(), Some("a"));
-        q.try_push("c").unwrap();
-        assert_eq!(q.capacity(), 2);
-        assert_eq!(q.rejected(), 1);
-    }
-
-    #[test]
-    fn rejected_counts_full_and_closed_pushes() {
-        let q = BoundedQueue::new(1);
-        assert_eq!(q.rejected(), 0);
-        q.try_push(1).unwrap();
-        assert_eq!(q.try_push(2), Err(2)); // full
-        q.close();
-        assert_eq!(q.try_push(3), Err(3)); // closed
-        assert_eq!(q.rejected(), 2);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn batch_push_accepts_a_prefix_and_returns_the_overflow() {
         let q = BoundedQueue::new(3);
-        q.try_push(0).unwrap();
+        assert!(q.try_push_batch([0]).is_empty());
         let overflow = q.try_push_batch([1, 2, 3, 4]);
         assert_eq!(overflow, vec![3, 4], "capacity 3: two fit, two bounce");
-        assert_eq!(q.rejected(), 2);
+        assert_eq!(q.capacity(), 3);
         assert_eq!(q.pop(), Some(0));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
@@ -209,11 +147,9 @@ mod tests {
     #[test]
     fn close_drains_then_stops_consumers() {
         let q = BoundedQueue::new(8);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
+        assert!(q.try_push_batch([1, 2]).is_empty());
         q.close();
-        assert!(q.is_closed());
-        assert_eq!(q.try_push(3), Err(3));
+        assert_eq!(q.try_push_batch([3]), vec![3]);
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
@@ -236,7 +172,7 @@ mod tests {
             })
             .collect();
         for i in 0..30 {
-            while q.try_push(i).is_err() {
+            while !q.try_push_batch([i]).is_empty() {
                 thread::yield_now(); // queue full: wait for a consumer
             }
         }

@@ -1,6 +1,6 @@
 //! The evented serving front end: readiness-driven reactor shards.
 //!
-//! Each shard owns a `poll(2)` set (via [`cqcount_exec::poll`]) holding a
+//! Each shard owns a `poll(2)` set (via [`crate::poll`]) holding a
 //! self-wake pipe, the listener (shard 0 only), and its share of the
 //! accepted connections — `conn_id % nshards` picks the owner. Sockets are
 //! non-blocking; frames are decoded incrementally out of per-connection
@@ -10,7 +10,7 @@
 //! Per decoded frame the shard either answers **inline** — admin opcodes
 //! and warm-hit counting requests ([`crate::server::try_fast_path`]) never
 //! touch the worker queue — or batches the request into the bounded queue
-//! ([`cqcount_exec::BoundedQueue::try_push_batch`], one lock per readiness
+//! ([`crate::queue::BoundedQueue::try_push_batch`], one lock per readiness
 //! sweep). Workers post [`Completion`]s back through the shard's mailbox
 //! and wake its pipe.
 //!
@@ -26,12 +26,12 @@
 //! write per sweep instead of one mutex acquisition per request.
 
 use crate::faults::{ConnFaults, FaultyStream, JobFaults};
+use crate::poll::{poll_fds, PollFd, WakePipe, Waker, POLLIN, POLLOUT};
 use crate::protocol::{parse_frame_prefix, ErrorCode, Frame, Request, Response, MAX_PAYLOAD, V5};
+use crate::queue::BoundedQueue;
 use crate::server::{
     counting_op, handle_admin, op_name, overload_response, try_fast_path, Job, Shared,
 };
-use cqcount_exec::poll::{poll_fds, PollFd, WakePipe, Waker, POLLIN, POLLOUT};
-use cqcount_exec::BoundedQueue;
 use cqcount_obs::trace;
 use cqcount_obs::watchdog::HeartbeatKind;
 use std::collections::{BTreeMap, HashMap, VecDeque};

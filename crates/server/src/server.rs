@@ -50,10 +50,10 @@ use crate::protocol::{
     MAX_FLIGHT_INCIDENTS, MAX_FLIGHT_TRACES, MAX_HISTORY_ENTRIES, MAX_HISTORY_SAMPLES,
     MAX_SPAN_DEPTH, MAX_SPAN_FIELDS, MAX_SPAN_NODES,
 };
+use crate::queue::BoundedQueue;
 use crate::reactor::{run_reactor, Completion, ReactorConfig, ReactorSet};
 use cqcount_core::planner::{count_prepared, prepare_plan_budgeted, WidthReport, WIDTH_CAP};
 use cqcount_core::{for_each_answer, Budget, PlanError};
-use cqcount_exec::BoundedQueue;
 use cqcount_obs::flight::{FlightRecorder, RetainReason};
 use cqcount_obs::history::MetricsHistory;
 use cqcount_obs::metrics::{Counter, Gauge, Histogram, Registry};
