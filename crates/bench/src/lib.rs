@@ -17,7 +17,7 @@ pub struct BenchRecord {
 /// one batch takes ≳20 ms (cap 2²⁰ iterations), then takes the median of
 /// five batches. Wrap benchmark results in [`std::hint::black_box`] inside
 /// the closure to keep the optimizer honest.
-pub fn bench_ns(mut f: impl FnMut()) -> f64 {
+fn bench_ns(mut f: impl FnMut()) -> f64 {
     f(); // warm-up (fills caches, triggers lazy init)
     let mut iters: u64 = 1;
     loop {

@@ -1,7 +1,11 @@
 //! End-to-end tests: a real `cqcountd` server on a loopback port, real
 //! clients over TCP. Covers the acceptance scenarios: concurrent clients
 //! sharing the count cache, RELOAD invalidation, budget enforcement on
-//! oversized brute-force requests, and admission-control overload.
+//! oversized brute-force requests, admission-control overload, and warm
+//! hits answered by the reactor while every worker is busy.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use cqcount_core::count_brute_force;
 use cqcount_query::{parse_database, parse_program};
@@ -236,6 +240,73 @@ fn full_queue_yields_overloaded_not_buffering() {
         }
     }
     assert!(admin.stats().unwrap().overloaded >= 1);
+
+    handle.shutdown();
+}
+
+/// Reads one unlabelled sample (or one exact `name{labels}` series) from
+/// the METRICS exposition.
+fn metric(c: &mut Client, series: &str) -> u64 {
+    let text = c.metrics().unwrap();
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no `{series}` sample in:\n{text}"))
+}
+
+#[test]
+fn warm_hits_are_served_while_every_worker_is_busy() {
+    let handle = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let addr = handle.local_addr();
+    let mut admin = connect(&handle);
+    let (facts, query) = oversized_request();
+    admin.reload("big", &facts).unwrap();
+    assert_eq!(admin.count("main", Q0, 0).unwrap().cached, CacheTier::Cold);
+    assert_eq!(
+        admin.count("main", Q0, 0).unwrap().cached,
+        CacheTier::CountWarm
+    );
+    let counts = r#"cqcount_requests_total{op="count"}"#;
+    let counts_before = metric(&mut admin, counts);
+    let hits_before = metric(&mut admin, "cqcount_fast_path_hits_total");
+
+    // Occupy the one worker with a budgeted brute-force count.
+    let replied = Arc::new(AtomicBool::new(false));
+    let slow = std::thread::spawn({
+        let replied = Arc::clone(&replied);
+        move || {
+            let err = Client::connect(addr)
+                .unwrap()
+                .count("big", &query, 3000)
+                .unwrap_err();
+            replied.store(true, Ordering::SeqCst);
+            err
+        }
+    });
+    // Wait until the slow count is decoded and a worker has taken it.
+    while metric(&mut admin, counts) == counts_before
+        || metric(&mut admin, "cqcount_queue_depth") != 0
+    {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+
+    // A second connection's warm count is answered by the reactor while
+    // the worker is still busy.
+    let warm = connect(&handle).count("main", Q0, 0).unwrap();
+    assert!(
+        !replied.load(Ordering::SeqCst),
+        "the warm hit waited for the busy worker"
+    );
+    assert_eq!(warm.cached, CacheTier::CountWarm);
+    assert_eq!(warm.value, "5");
+    assert!(metric(&mut admin, "cqcount_fast_path_hits_total") > hits_before);
+
+    match slow.join().unwrap() {
+        ClientError::Server { code, .. } => assert_eq!(code, ErrorCode::BudgetExceeded),
+        other => panic!("expected budget error, got {other:?}"),
+    }
 
     handle.shutdown();
 }
