@@ -4,8 +4,8 @@
 
 use cqcount_arith::Natural;
 use cqcount_hypergraph::{join_forest, Hypergraph};
-use cqcount_relational::consistency::full_reduce;
-use cqcount_relational::{Bindings, FxHashMap, Tuple};
+use cqcount_relational::{Bindings, FxHashMap, Tuple, Value};
+use std::borrow::Cow;
 
 /// Counts the number of tuples in the natural join of the given views —
 /// i.e. the number of assignments over the union of their columns — in time
@@ -25,24 +25,32 @@ pub fn count_acyclic_full(views: &[Bindings]) -> Option<Natural> {
     if views.iter().any(|v| v.is_empty()) {
         return Some(Natural::ZERO);
     }
-    let colful: Vec<&Bindings> = views.iter().filter(|v| !v.cols().is_empty()).collect();
     let forest = join_forest(&h)?;
+    // The DP is exact on unreduced views, so nothing is reduced or copied
+    // — unless columnless views must be dropped to match `h`'s edges.
+    let colful: Cow<[Bindings]> = if views.iter().all(|v| !v.cols().is_empty()) {
+        Cow::Borrowed(views)
+    } else {
+        Cow::Owned(
+            views
+                .iter()
+                .filter(|v| !v.cols().is_empty())
+                .cloned()
+                .collect(),
+        )
+    };
     // `h` only has edges for col-ful views; align indices.
     debug_assert_eq!(forest.len(), colful.len());
-
-    let mut reduced: Vec<Bindings> = colful.iter().map(|v| (*v).clone()).collect();
-    full_reduce(&mut reduced, &forest.parent, &forest.order);
-    if reduced.iter().any(Bindings::is_empty) {
-        return Some(Natural::ZERO);
-    }
-
-    count_over_tree(&reduced, &forest.parent, &forest.children, &forest.order).into()
+    count_over_tree(&colful, &forest.parent, &forest.children, &forest.order).into()
 }
 
 /// The DP core, reusable with an externally supplied tree (the pipeline
-/// hands in decomposition trees directly). Requires globally consistent
-/// views (run `full_reduce` first) whose column sets satisfy the join-tree
-/// property along the given tree; counts the join size.
+/// hands in decomposition trees directly). Counts the join size of views
+/// whose column sets satisfy the join-tree property along the given tree.
+/// The count is exact on any such views, reduced or not: a dangling row
+/// finds no child key and contributes 0. Only *projecting* views first
+/// needs them globally consistent (`full_reduce`), or the projection would
+/// keep tuples that extend to no solution.
 pub fn count_over_tree(
     views: &[Bindings],
     parent: &[Option<usize>],
@@ -93,11 +101,15 @@ pub fn count_over_tree(
 
         let mut my_map: FxHashMap<Tuple, Natural> = FxHashMap::default();
         let mut my_total = Natural::ZERO;
+        // Keys are probed through one reusable buffer; a key is copied
+        // into the map only the first time it is seen.
+        let mut key: Vec<Value> = Vec::new();
         for row in views[v].rows() {
             let mut cnt = Natural::ONE;
             for (pos, cmap) in &child_info {
-                let key: Tuple = pos.iter().map(|&p| row[p]).collect();
-                match cmap.get(&key) {
+                key.clear();
+                key.extend(pos.iter().map(|&p| row[p]));
+                match cmap.get(key.as_slice()) {
                     Some(c) => cnt *= c,
                     None => {
                         cnt = Natural::ZERO;
@@ -109,8 +121,14 @@ pub fn count_over_tree(
                 continue;
             }
             if parent[v].is_some() {
-                let key: Tuple = key_positions.iter().map(|&p| row[p]).collect();
-                *my_map.entry(key).or_insert(Natural::ZERO) += &cnt;
+                key.clear();
+                key.extend(key_positions.iter().map(|&p| row[p]));
+                match my_map.get_mut(key.as_slice()) {
+                    Some(sum) => *sum += &cnt,
+                    None => {
+                        my_map.insert(key.as_slice().into(), cnt);
+                    }
+                }
             } else {
                 my_total += &cnt;
             }
@@ -126,7 +144,6 @@ pub fn count_over_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqcount_relational::Value;
 
     fn b(cols: &[u32], rows: &[&[u32]]) -> Bindings {
         Bindings::from_rows(

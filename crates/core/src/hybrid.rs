@@ -47,7 +47,10 @@ fn sbar_views(
     let (complete, mut views) = crate::ps::completed_views(&sd.qprime, db, &sd.hypertree);
     full_reduce(&mut views, &complete.parent, &complete.order);
     let sbar_cols: Vec<u32> = sd.qprime.free().iter().map(|v| v.node()).collect();
-    let projected: Vec<Bindings> = views.iter().map(|v| v.project(&sbar_cols)).collect();
+    let projected: Vec<Bindings> = views
+        .into_iter()
+        .map(|v| v.into_project(&sbar_cols))
+        .collect();
     (
         projected,
         complete.parent,

@@ -10,7 +10,10 @@
 //!    ([`crate::sharp::wcoj_applies`]);
 //! 2. run the full reducer along the decomposition tree — on the acyclic
 //!    bag schema this achieves global consistency, so afterwards
-//!    `r_p = π_{χ(p)}(Q'^D)` exactly;
+//!    `r_p = π_{χ(p)}(Q'^D)` exactly. A *full* query (`free(Q') =
+//!    vars(Q')`) skips this step and the next: it projects nothing away,
+//!    and the step-4 DP is exact on unreduced views (a dangling row finds
+//!    no child key and contributes 0);
 //! 3. project every view (and the tree) onto the free variables — because
 //!    all frontiers are covered, the projected acyclic instance's join is
 //!    exactly `π_free(Q'^D)` (each `[free]`-component of existential
@@ -35,15 +38,22 @@ pub fn count_with_decomposition(
     ht: &Hypertree,
 ) -> Natural {
     let (complete, mut views) = crate::ps::completed_views(qprime, db, ht);
-    full_reduce(&mut views, &complete.parent, &complete.order);
-    if views.iter().any(Bindings::is_empty) {
-        return Natural::ZERO;
+    // A full query projects nothing away, and the DP is exact on unreduced
+    // views: it skips steps 2 and 3.
+    if !qprime.existential().is_empty() {
+        full_reduce(&mut views, &complete.parent, &complete.order);
+        if views.iter().any(Bindings::is_empty) {
+            return Natural::ZERO;
+        }
+        // Step 3: project every view onto the free variables.
+        let free_cols: Vec<u32> = qprime.free().iter().map(|v| v.node()).collect();
+        views = views
+            .into_iter()
+            .map(|v| v.into_project(&free_cols))
+            .collect();
     }
-    let free_cols: Vec<u32> = qprime.free().iter().map(|v| v.node()).collect();
-    // Step 3: project every view onto the free variables.
-    let projected: Vec<Bindings> = views.iter().map(|v| v.project(&free_cols)).collect();
     count_over_tree(
-        &projected,
+        &views,
         &complete.parent,
         &complete.children,
         &complete.order,

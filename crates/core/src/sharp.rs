@@ -145,13 +145,16 @@ pub fn bag_views(q: &ConjunctiveQuery, db: &Database, ht: &Hypertree) -> Vec<Bin
         let chi_cols: Vec<u32> = ht.chi[p].to_vec();
         let lam = &ht.lambda[p];
         if wcoj_applies(q, lam) {
-            return wcoj_bag(q, db, lam).project(&chi_cols);
+            return wcoj_bag(q, db, lam).into_project(&chi_cols);
         }
-        let mut acc = Bindings::unit();
-        for &ai in lam {
-            acc = acc.join(&atom_bindings(&q.atoms()[ai], db));
-        }
-        acc.project(&chi_cols)
+        // The fold starts from the first λ-atom itself, so a one-atom bag
+        // is its scan, moved through a projection that drops nothing.
+        let scan = |&ai: &usize| atom_bindings(&q.atoms()[ai], db);
+        let mut atoms = lam.iter();
+        let first = atoms.next().map_or_else(Bindings::unit, scan);
+        atoms
+            .fold(first, |acc, ai| acc.join(&scan(ai)))
+            .into_project(&chi_cols)
     };
     // One independent join-then-project per tree vertex. This is the count
     // path's only parallel call, and only large inputs take it; results come

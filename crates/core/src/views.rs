@@ -182,7 +182,7 @@ pub fn count_with_view_set(
         for bag_view in bag_views.iter_mut() {
             let qcols: &[u32] = relations[i].cols();
             if qcols.iter().all(|c| bag_view.cols().contains(c)) {
-                *bag_view = bag_view.semijoin(&relations[i]);
+                bag_view.semijoin_in_place(&relations[i]);
             }
         }
     }
@@ -191,7 +191,10 @@ pub fn count_with_view_set(
         return Some((Natural::ZERO, sd));
     }
     let free_cols: Vec<u32> = q.free().iter().map(|v| v.node()).collect();
-    let projected: Vec<Bindings> = bag_views.iter().map(|v| v.project(&free_cols)).collect();
+    let projected: Vec<Bindings> = bag_views
+        .into_iter()
+        .map(|v| v.into_project(&free_cols))
+        .collect();
     let n = count_over_tree(
         &projected,
         &sd.hypertree.parent,

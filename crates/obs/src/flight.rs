@@ -8,7 +8,8 @@
 //! degradation, delta fallback, or read-only flip — or simply dropped.
 //! Retention is the exception, so the recorder's two ring buffers stay
 //! small and the steady-state cost is the speculative tracing itself
-//! (measured by the `trace_overhead` bench's `recorder_armed` column).
+//! (measured by the benchmark's `obs.trace_overhead_pct` row: a traced
+//! replay of each workload against the untraced replay before it).
 //!
 //! The recorder also keeps a second ring of **incidents**: discrete
 //! operational events (watchdog stall flags, read-only flips) that are not

@@ -12,19 +12,27 @@
 //!
 //! # Kernel design
 //!
-//! The join/semijoin/grouping kernels never materialize per-row keys. Each
+//! The join and grouping kernels never materialize per-row keys. Each
 //! operation first builds a small *plan* from the two (sorted) column lists
 //! — shared positions, output layout — and then works on the rows through
 //! position-indexed comparators over borrowed slices. Joins run as
 //! sort-merge over key-grouped row indices; when the shared columns are a
 //! prefix of a side's column list, the canonical row order *is* key order
 //! and the grouping sort is skipped entirely (the sort-merge fast path).
+//!
+//! Semijoins hash instead: the probe side's shared-column key is hashed
+//! once — packed into one `u128` for up to four columns, materialized
+//! exactly beyond that — and each kept-side row is a single set lookup.
+//! The in-place form [`Bindings::semijoin_in_place`] `retain`s the
+//! matching rows, so the full reducer shrinks views without copying a row.
 //! Every kernel runs sequentially on the calling thread: counting
 //! parallelizes across decomposition bags (`cqcount_core::sharp`), never
 //! inside one operator, so there is no chunking and nothing to stitch.
 
+use crate::fxhash::FxHashSet;
 use crate::{Col, Relation, Tuple, Value};
 use cqcount_obs as obs;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Total size in bytes of the tuples a result materializes, for the
@@ -162,6 +170,110 @@ impl JoinPlan {
             .iter()
             .map(|&(from_left, p)| if from_left { lrow[p] } else { rrow[p] })
             .collect()
+    }
+}
+
+/// Both projection forms under the one `algebra.project` span.
+fn project_traced(src: Cow<'_, Bindings>, keep: &[Col]) -> Bindings {
+    let sp = obs::trace::span("algebra.project");
+    if sp.is_armed() {
+        sp.add("rows_in", src.rows.len() as u64);
+    }
+    let out = Bindings::project_map(src, keep);
+    if sp.is_armed() {
+        sp.add("rows_out", out.rows.len() as u64);
+        sp.add("bytes_out", bytes_of(&out));
+    }
+    out
+}
+
+/// Packs up to four key values into one integer: a `Value` is a `u32`, so
+/// four fit a `u128` exactly and the packing is injective for a fixed key
+/// width.
+#[inline]
+fn pack_key(row: &[Value], positions: &[usize]) -> u128 {
+    positions
+        .iter()
+        .fold(0, |key, &p| (key << 32) | u128::from(row[p].0))
+}
+
+/// The probe side of a semijoin, hashed once on its shared-column key.
+enum KeySet {
+    /// No shared columns: a left row matches iff the probe side is nonempty.
+    Disjoint(bool),
+    /// At most four shared columns, packed by [`pack_key`].
+    Packed(FxHashSet<u128>),
+    /// Wider keys, materialized exactly.
+    Wide(FxHashSet<Tuple>),
+}
+
+/// A semijoin's probe plan: the key positions on the kept side and the
+/// hashed keys of the other side, built and used under the one
+/// `algebra.semijoin` span both semijoin forms share.
+struct SemijoinProbe {
+    lpos: Vec<usize>,
+    keys: KeySet,
+    probes: usize,
+    sp: obs::trace::Span,
+}
+
+impl SemijoinProbe {
+    fn new(left: &Bindings, right: &Bindings) -> SemijoinProbe {
+        let sp = obs::trace::span("algebra.semijoin");
+        if sp.is_armed() {
+            sp.add("rows_left", left.rows.len() as u64);
+            sp.add("rows_right", right.rows.len() as u64);
+        }
+        let (lpos, rpos) = left.shared_positions(right);
+        let keys = if lpos.is_empty() {
+            KeySet::Disjoint(!right.is_empty())
+        } else if lpos.len() <= 4 {
+            let mut set = FxHashSet::default();
+            let mut last = None;
+            for row in &right.rows {
+                // Equal keys sit side by side when the key is a row prefix.
+                let key = pack_key(row, &rpos);
+                if last.replace(key) != Some(key) {
+                    set.insert(key);
+                }
+            }
+            KeySet::Packed(set)
+        } else {
+            KeySet::Wide(
+                right
+                    .rows
+                    .iter()
+                    .map(|r| rpos.iter().map(|&p| r[p]).collect())
+                    .collect(),
+            )
+        };
+        SemijoinProbe {
+            lpos,
+            keys,
+            probes: left.rows.len(),
+            sp,
+        }
+    }
+
+    /// Closes the span on the semijoin's result.
+    fn finish(self, out: &Bindings) {
+        if self.sp.is_armed() {
+            self.sp.add("probes", self.probes as u64);
+            self.sp.add("rows_out", out.rows.len() as u64);
+            self.sp.add("bytes_out", bytes_of(out));
+        }
+    }
+
+    /// Does `row`'s key occur on the probe side?
+    #[inline]
+    fn matches(&self, row: &[Value]) -> bool {
+        match &self.keys {
+            KeySet::Disjoint(nonempty) => *nonempty,
+            KeySet::Packed(set) => set.contains(&pack_key(row, &self.lpos)),
+            KeySet::Wide(set) => {
+                set.contains(&self.lpos.iter().map(|&p| row[p]).collect::<Tuple>())
+            }
+        }
     }
 }
 
@@ -400,63 +512,31 @@ impl Bindings {
 
     /// Semijoin `self ⋉ other = π_{cols(self)}(self ⋈ other)`.
     ///
-    /// Probes a key-sorted index of `other` by binary search — no key
-    /// allocation, no hash set. Kept rows are a subsequence of the
-    /// canonical rows, so the result needs no re-sort.
+    /// The same hash probe as [`Bindings::semijoin_in_place`]; kept rows
+    /// are a subsequence of the canonical rows, so the result needs no
+    /// re-sort.
     pub fn semijoin(&self, other: &Bindings) -> Bindings {
-        let sp = obs::trace::span("algebra.semijoin");
-        if sp.is_armed() {
-            sp.add("rows_left", self.rows.len() as u64);
-            sp.add("rows_right", other.rows.len() as u64);
-        }
-        let out = self.semijoin_probe(other);
-        if sp.is_armed() {
-            sp.add("probes", self.rows.len() as u64);
-            sp.add("rows_out", out.rows.len() as u64);
-            sp.add("bytes_out", bytes_of(&out));
-        }
+        let probe = SemijoinProbe::new(self, other);
+        let out = Bindings {
+            cols: self.cols.clone(),
+            rows: self
+                .rows
+                .iter()
+                .filter(|row| probe.matches(row))
+                .cloned()
+                .collect(),
+        };
+        probe.finish(&out);
         out
     }
 
-    fn semijoin_probe(&self, other: &Bindings) -> Bindings {
-        let (lpos, rpos) = self.shared_positions(other);
-        if lpos.is_empty() {
-            // No shared columns: keep everything iff `other` is nonempty.
-            return if other.is_empty() {
-                Bindings {
-                    cols: self.cols.clone(),
-                    rows: vec![],
-                }
-            } else {
-                self.clone()
-            };
-        }
-        // Key-sorted view of the probe side (identity when key is prefix).
-        let mut rorder: Vec<u32> = (0..other.rows.len() as u32).collect();
-        if !is_prefix(&rpos) {
-            rorder.sort_unstable_by(|&a, &b| {
-                cmp_keys(
-                    &other.rows[a as usize],
-                    &rpos,
-                    &other.rows[b as usize],
-                    &rpos,
-                )
-            });
-        }
-        let rows: Vec<Tuple> = self
-            .rows
-            .iter()
-            .filter(|row| {
-                rorder
-                    .binary_search_by(|&ri| cmp_keys(&other.rows[ri as usize], &rpos, row, &lpos))
-                    .is_ok()
-            })
-            .cloned()
-            .collect();
-        Bindings {
-            cols: self.cols.clone(),
-            rows,
-        }
+    /// In-place semijoin `self ← self ⋉ other`: drops the rows of `self`
+    /// whose shared-column key does not occur in `other`. No row is cloned
+    /// and the survivors keep canonical order.
+    pub fn semijoin_in_place(&mut self, other: &Bindings) {
+        let probe = SemijoinProbe::new(self, other);
+        self.rows.retain(|row| probe.matches(row));
+        probe.finish(self);
     }
 
     /// Positions of `self.cols` entries present in `keep`, via a sorted
@@ -483,39 +563,42 @@ impl Bindings {
 
     /// Projection `π_keep(self)` (columns not present are ignored).
     pub fn project(&self, keep: &[Col]) -> Bindings {
-        let sp = obs::trace::span("algebra.project");
-        if sp.is_armed() {
-            sp.add("rows_in", self.rows.len() as u64);
-        }
-        let out = self.project_map(keep);
-        if sp.is_armed() {
-            sp.add("rows_out", out.rows.len() as u64);
-            sp.add("bytes_out", bytes_of(&out));
-        }
-        out
+        project_traced(Cow::Borrowed(self), keep)
     }
 
-    fn project_map(&self, keep: &[Col]) -> Bindings {
-        let positions = self.keep_positions(keep);
-        if positions.len() == self.cols.len() {
-            return self.clone(); // projecting onto all columns: no-op
+    /// Projection by value: like [`Bindings::project`], but hands `self`
+    /// back untouched, with no copy, when it keeps every column.
+    pub fn into_project(self, keep: &[Col]) -> Bindings {
+        project_traced(Cow::Owned(self), keep)
+    }
+
+    fn project_map(src: Cow<'_, Bindings>, keep: &[Col]) -> Bindings {
+        let positions = src.keep_positions(keep);
+        if positions.len() == src.cols.len() {
+            return src.into_owned(); // projecting onto all columns: no-op
         }
-        let out_cols: Vec<Col> = positions.iter().map(|&p| self.cols[p]).collect();
-        let mut rows: Vec<Tuple> = self
+        let out_cols: Vec<Col> = positions.iter().map(|&p| src.cols[p]).collect();
+        if is_prefix(&positions) {
+            // Prefix projection preserves canonical order: equal prefixes
+            // are adjacent, so each distinct one is copied once.
+            let k = positions.len();
+            let mut rows: Vec<Tuple> = Vec::new();
+            for r in &src.rows {
+                if rows.last().is_none_or(|last| **last != r[..k]) {
+                    rows.push(r[..k].into());
+                }
+            }
+            return Bindings {
+                cols: out_cols,
+                rows,
+            };
+        }
+        let rows: Vec<Tuple> = src
             .rows
             .iter()
             .map(|r| positions.iter().map(|&p| r[p]).collect())
             .collect();
-        if is_prefix(&positions) {
-            // Prefix projection preserves canonical order; dedup suffices.
-            rows.dedup();
-            Bindings {
-                cols: out_cols,
-                rows,
-            }
-        } else {
-            Bindings::from_parts(out_cols, rows)
-        }
+        Bindings::from_parts(out_cols, rows)
     }
 
     /// Selection `σ_{col = value}`.
@@ -637,6 +720,50 @@ mod tests {
         let sorted_cols: Vec<Col> = col_order.iter().map(|&i| out_cols[i]).collect();
         Bindings {
             cols: sorted_cols,
+            rows,
+        }
+    }
+
+    /// The sort-and-binary-search semijoin the hash kernel replaced, kept
+    /// as a test oracle: sorts a row-index permutation of `right` by its
+    /// shared key (identity when the key is a prefix) and binary-searches
+    /// it once per row of `left`.
+    fn semijoin_sort_probe(left: &Bindings, right: &Bindings) -> Bindings {
+        let (lpos, rpos) = left.shared_positions(right);
+        if lpos.is_empty() {
+            let rows = if right.is_empty() {
+                vec![]
+            } else {
+                left.rows.clone()
+            };
+            return Bindings {
+                cols: left.cols.clone(),
+                rows,
+            };
+        }
+        let mut rorder: Vec<u32> = (0..right.rows.len() as u32).collect();
+        if !is_prefix(&rpos) {
+            rorder.sort_unstable_by(|&a, &b| {
+                cmp_keys(
+                    &right.rows[a as usize],
+                    &rpos,
+                    &right.rows[b as usize],
+                    &rpos,
+                )
+            });
+        }
+        let rows = left
+            .rows
+            .iter()
+            .filter(|row| {
+                rorder
+                    .binary_search_by(|&ri| cmp_keys(&right.rows[ri as usize], &rpos, row, &lpos))
+                    .is_ok()
+            })
+            .cloned()
+            .collect();
+        Bindings {
+            cols: left.cols.clone(),
             rows,
         }
     }
@@ -835,5 +962,117 @@ mod tests {
         let l = Bindings::from_rows(vec![1, 2], lrows);
         let r = Bindings::from_rows(vec![2, 3], rrows);
         assert_eq!(l.join(&r), join_hash_baseline(&l, &r));
+    }
+
+    /// Random rows over `cols`, each value one of the first `domain`
+    /// entries of a palette that sets the high and the low bits of a
+    /// `u32`, so a key packing that drops or overlaps bits collides.
+    fn random_bindings(
+        rng: &mut cqcount_arith::prng::Rng,
+        cols: &[Col],
+        rows: usize,
+        domain: u32,
+    ) -> Bindings {
+        const PALETTE: [u32; 3] = [0, u32::MAX, 1 << 31];
+        let rows = (0..rows)
+            .map(|_| {
+                cols.iter()
+                    .map(|_| v(PALETTE[rng.range_usize(0, domain as usize)]))
+                    .collect()
+            })
+            .collect();
+        Bindings::from_rows(cols.to_vec(), rows)
+    }
+
+    /// Both semijoin forms, the sort-probe oracle and `π(⋈)` must agree.
+    fn assert_semijoin_parity(l: &Bindings, r: &Bindings) {
+        let expect = semijoin_sort_probe(l, r);
+        assert_eq!(l.semijoin(r), expect, "pinned form on {l:?} ⋉ {r:?}");
+        let mut in_place = l.clone();
+        in_place.semijoin_in_place(r);
+        assert_eq!(in_place, expect, "in-place form on {l:?} ⋉ {r:?}");
+        assert_eq!(l.join(r).project(l.cols()), expect, "π(⋈) on {l:?} ⋉ {r:?}");
+    }
+
+    #[test]
+    fn semijoin_kernels_match_sort_probe_at_every_key_width() {
+        use cqcount_arith::prng::Rng;
+        let cases = if cfg!(feature = "exhaustive-tests") {
+            400
+        } else {
+            60
+        };
+        let mut rng = Rng::seed_from_u64(0x5E41);
+        // Widths 0..=4 take the packed key, 5 and 6 the wide fallback.
+        for width in 0..=6u32 {
+            let shared: Vec<Col> = (0..width).map(|i| 10 + 2 * i).collect();
+            for _ in 0..cases {
+                // A private column 0 / 1 in front makes the shared key a
+                // non-prefix of that side's rows.
+                let mut lcols = shared.clone();
+                lcols.push(100);
+                if rng.chance(0.5) {
+                    lcols.push(0);
+                }
+                let mut rcols = shared.clone();
+                rcols.push(101);
+                if rng.chance(0.5) {
+                    rcols.push(1);
+                }
+                let domain = rng.range_u32(1, 4);
+                let (ln, rn) = (rng.range_usize(0, 40), rng.range_usize(0, 40));
+                let l = random_bindings(&mut rng, &lcols, ln, domain);
+                let r = random_bindings(&mut rng, &rcols, rn, domain);
+                assert_semijoin_parity(&l, &r);
+                assert_semijoin_parity(&r, &l);
+            }
+        }
+    }
+
+    #[test]
+    fn semijoin_kernels_on_empty_unit_and_duplicate_keys() {
+        use cqcount_arith::prng::Rng;
+        let mut rng = Rng::seed_from_u64(0xD0B);
+        let x = random_bindings(&mut rng, &[1, 2, 3], 30, 3);
+        let unit = Bindings::unit();
+        for side in [
+            Bindings::empty(vec![2]),
+            Bindings::empty(vec![1, 2, 3]),
+            Bindings::empty(vec![7]),
+            Bindings::empty(vec![]),
+            unit.clone(),
+        ] {
+            assert_semijoin_parity(&x, &side);
+            assert_semijoin_parity(&side, &x);
+        }
+        assert_eq!(x.semijoin(&unit), x);
+        assert_eq!(unit.semijoin(&x), unit);
+        assert_semijoin_parity(&unit, &unit);
+        // Heavy duplicate keys: thousands of rows over a two-value key.
+        for width in [1u32, 4, 5] {
+            let shared: Vec<Col> = (0..width).map(|i| 10 + i).collect();
+            let mut lcols = shared.clone();
+            lcols.extend([0, 50]);
+            let mut rcols = shared.clone();
+            rcols.push(60);
+            let l = random_bindings(&mut rng, &lcols, 3000, 2);
+            let r = random_bindings(&mut rng, &rcols, 5, 2);
+            assert_semijoin_parity(&l, &r);
+            assert_semijoin_parity(&r, &l);
+        }
+    }
+
+    #[test]
+    fn into_project_hands_back_the_view_when_nothing_is_dropped() {
+        let x = b(&[1, 2, 3], &[&[1, 10, 100], &[1, 10, 101], &[2, 20, 200]]);
+        let rows = x.rows().as_ptr();
+        let kept = x.clone().into_project(&[3, 2, 1, 9]);
+        assert_eq!(kept, x);
+        let moved = x.clone();
+        let moved_rows = moved.rows().as_ptr();
+        assert_ne!(moved_rows, rows);
+        assert_eq!(moved.into_project(&[1, 2, 3]).rows().as_ptr(), moved_rows);
+        assert_eq!(x.clone().into_project(&[1]), x.project(&[1]));
+        assert_eq!(x.clone().into_project(&[3]), x.project(&[3]));
     }
 }

@@ -7,6 +7,11 @@
 //! acyclic schema pairwise consistency implies *global* consistency, i.e.
 //! every view tuple extends to a full solution. The full reducer achieves
 //! the same along a join tree with two semijoin sweeps.
+//!
+//! Both procedures only ever shrink views, so both run the in-place hash
+//! semijoin ([`Bindings::semijoin_in_place`]): each step hashes the probe
+//! view's shared-column keys once and `retain`s the target's matching
+//! rows — no view is cloned and no row is copied.
 
 use crate::Bindings;
 
@@ -26,11 +31,10 @@ pub fn pairwise_consistency(views: &mut [Bindings]) -> bool {
         for i in 0..n {
             for j in 0..n {
                 if i != j {
-                    let r = views[i].semijoin(&views[j]);
-                    if r.len() != views[i].len() {
-                        views[i] = r;
-                        changed = true;
-                    }
+                    let (target, probe) = pair_mut(views, i, j);
+                    let before = target.len();
+                    target.semijoin_in_place(probe);
+                    changed |= target.len() != before;
                 }
             }
         }
@@ -44,6 +48,18 @@ pub fn pairwise_consistency(views: &mut [Bindings]) -> bool {
     }
 }
 
+/// Borrows `views[target]` mutably and `views[probe]` shared, disjointly.
+fn pair_mut(views: &mut [Bindings], target: usize, probe: usize) -> (&mut Bindings, &Bindings) {
+    assert_ne!(target, probe, "a view is never semijoined with itself");
+    if target < probe {
+        let (lo, hi) = views.split_at_mut(probe);
+        (&mut lo[target], &hi[0])
+    } else {
+        let (lo, hi) = views.split_at_mut(target);
+        (&mut hi[0], &lo[probe])
+    }
+}
+
 /// Full reducer over a rooted join forest: one upward sweep (parents
 /// semijoined with children, bottom-up) and one downward sweep (children
 /// semijoined with parents, top-down).
@@ -51,20 +67,24 @@ pub fn pairwise_consistency(views: &mut [Bindings]) -> bool {
 /// `parent[i]` is the parent of vertex `i` (`None` for roots) and `order`
 /// must list children before parents (as produced by
 /// `cqcount_hypergraph::join_forest`). On an acyclic schema the result is
-/// globally consistent.
+/// globally consistent. Counting a *full* join along the same tree does
+/// not need it — the join-tree DP is exact on unreduced views, a dangling
+/// row simply finds no child key — but projecting a view does.
 pub fn full_reduce(views: &mut [Bindings], parent: &[Option<usize>], order: &[usize]) {
     assert_eq!(views.len(), parent.len());
     assert_eq!(views.len(), order.len());
     // Upward: process children before parents.
     for &v in order {
         if let Some(p) = parent[v] {
-            views[p] = views[p].semijoin(&views[v]);
+            let (parent_view, child) = pair_mut(views, p, v);
+            parent_view.semijoin_in_place(child);
         }
     }
     // Downward: process parents before children.
     for &v in order.iter().rev() {
         if let Some(p) = parent[v] {
-            views[v] = views[v].semijoin(&views[p]);
+            let (child, parent_view) = pair_mut(views, v, p);
+            child.semijoin_in_place(parent_view);
         }
     }
 }
@@ -73,6 +93,7 @@ pub fn full_reduce(views: &mut [Bindings], parent: &[Option<usize>], order: &[us
 mod tests {
     use super::*;
     use crate::Value;
+    use cqcount_arith::prng::Rng;
 
     fn v(id: u32) -> Value {
         Value(id)
@@ -152,6 +173,84 @@ mod tests {
         let mut b2 = make();
         pairwise_consistency(&mut b2);
         assert_eq!(a, b2);
+    }
+
+    /// Random views over a join tree given by `parent` (every parent index
+    /// below its child's): each child shares a random subset of its
+    /// parent's columns and adds fresh ones, so every column's holders stay
+    /// connected.
+    fn random_tree_views(parent: &[Option<usize>], rng: &mut Rng) -> Vec<Bindings> {
+        let mut next_col = 0u32;
+        let mut fresh = |k: usize| -> Vec<u32> {
+            next_col += k as u32;
+            (next_col - k as u32..next_col).collect()
+        };
+        let mut cols: Vec<Vec<u32>> = Vec::with_capacity(parent.len());
+        for p in parent {
+            let mut c: Vec<u32> = match p {
+                Some(p) => cols[*p]
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.chance(0.6))
+                    .collect(),
+                None => Vec::new(),
+            };
+            c.extend(fresh(rng.range_usize(1, 3)));
+            cols.push(c);
+        }
+        cols.iter()
+            .map(|c| {
+                let n = rng.range_usize(0, 16);
+                let rows = (0..n)
+                    .map(|_| c.iter().map(|_| v(rng.range_u32(0, 3))).collect())
+                    .collect();
+                Bindings::from_rows(c.clone(), rows)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn full_reduce_matches_pairwise_on_random_trees() {
+        let cases = if cfg!(feature = "exhaustive-tests") {
+            600
+        } else {
+            80
+        };
+        let mut rng = Rng::seed_from_u64(0x7EE5);
+        let mut consistent = 0;
+        for case in 0..cases {
+            let n = if case % 3 == 2 {
+                rng.range_usize(4, 9)
+            } else {
+                rng.range_usize(2, 8)
+            };
+            let parent: Vec<Option<usize>> = (0..n)
+                .map(|i| match (i, case % 3) {
+                    (0, _) => None,
+                    (_, 0) => Some(i - 1),            // path
+                    (_, 1) => Some(0),                // star
+                    (1..=3, _) => Some(i - 1),        // depth ≥ 3 ...
+                    _ => Some(rng.range_usize(0, i)), // ... then random
+                })
+                .collect();
+            let order: Vec<usize> = (0..n).rev().collect();
+            let views = random_tree_views(&parent, &mut rng);
+            let mut reduced = views.clone();
+            full_reduce(&mut reduced, &parent, &order);
+            let mut pairwise = views.clone();
+            if pairwise_consistency(&mut pairwise) {
+                consistent += 1;
+                assert_eq!(reduced, pairwise, "case {case}: {views:?}");
+            } else {
+                // One empty view empties a connected tree under the reducer.
+                assert!(reduced.iter().all(Bindings::is_empty), "case {case}");
+            }
+        }
+        // Both outcomes occur, so neither branch is vacuous.
+        assert!(
+            0 < consistent && consistent < cases,
+            "{consistent} of {cases}"
+        );
     }
 
     #[test]
