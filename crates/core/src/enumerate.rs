@@ -9,7 +9,8 @@
 //! answer with polynomial delay — every partial choice is guaranteed to
 //! extend, so no backtracking dead-ends occur.
 
-use crate::sharp::{sharp_hypertree_decomposition, SharpDecomposition};
+use crate::sharp::SharpDecomposition;
+use crate::width_search::WidthSearch;
 use cqcount_query::{ConjunctiveQuery, Var};
 use cqcount_relational::consistency::full_reduce;
 use cqcount_relational::{Bindings, Database, FxHashMap, Tuple, Value};
@@ -23,7 +24,7 @@ pub fn for_each_answer<F>(q: &ConjunctiveQuery, db: &Database, max_k: usize, vis
 where
     F: FnMut(&BTreeMap<Var, Value>) -> bool,
 {
-    let Some(sd) = (1..=max_k).find_map(|k| sharp_hypertree_decomposition(q, k)) else {
+    let Some((_, sd)) = WidthSearch::new(q).find_up_to(max_k) else {
         return false;
     };
     for_each_answer_with(q, db, &sd, visit);

@@ -11,7 +11,8 @@
 //! functionally determined by the free ones).
 
 use crate::ps::count_sharp_relations_views;
-use crate::sharp::{sharp_hypertree_decomposition, SharpDecomposition};
+use crate::sharp::SharpDecomposition;
+use crate::width_search::WidthSearch;
 use cqcount_arith::Natural;
 use cqcount_query::{ConjunctiveQuery, Var};
 use cqcount_relational::consistency::full_reduce;
@@ -102,7 +103,7 @@ pub fn hybrid_decomposition(
         }
         let qs = q.requantify(sbar.iter().copied());
         // Minimal width first: better witnesses and cheaper evaluation.
-        let Some(sd) = (1..=k).find_map(|w| sharp_hypertree_decomposition(&qs, w)) else {
+        let Some((_, sd)) = WidthSearch::new(&qs).find_up_to(k) else {
             continue;
         };
         let bound = degree_of(&sd, db, &free_cols);
@@ -181,7 +182,7 @@ pub fn hybrid_decomposition_guided(
         let mut sbar: BTreeSet<Var> = q.free();
         sbar.extend(determined.iter().copied());
         let qs = q.requantify(sbar.iter().copied());
-        if let Some(sd) = (1..=k).find_map(|w| sharp_hypertree_decomposition(&qs, w)) {
+        if let Some((_, sd)) = WidthSearch::new(&qs).find_up_to(k) {
             let free_cols: Vec<u32> = q.free().iter().map(|v| v.node()).collect();
             let bound = degree_of(&sd, db, &free_cols);
             if bound <= b {

@@ -46,8 +46,9 @@ impl WidthReport {
     pub fn analyze(q: &ConjunctiveQuery, cap: usize) -> WidthReport {
         let h = q.hypergraph();
         let resources = crate::sharp::atom_nodesets(q);
-        // Both width sweeps run incrementally: ghw_exact reuses one
-        // GhwSearch across k and WidthSearch shares the core/cover setup.
+        // `ghw` is the exact generalized hypertree width the paper states;
+        // `sharp_width` is what the planner finds, over normal-form
+        // hypertree decompositions of the core.
         let ghw = cqcount_decomp::ghw_exact(&h, &resources, cap).map(|(w, _)| w);
         let sharp_width = WidthSearch::new(q).find_up_to(cap).map(|(k, _)| k);
         WidthReport {

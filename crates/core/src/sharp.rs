@@ -45,9 +45,10 @@ pub(crate) fn sharp_cover(qprime: &ConjunctiveQuery, free: &NodeSet) -> (Hypergr
 }
 
 /// Searches for a width-`k` `#`-hypertree decomposition of `q`
-/// (Definition 1.2): a width-`k` GHD — over the view set `V_{Q'}^k` of the
-/// core's atoms — of both the core's hypergraph and its frontier
-/// hypergraph.
+/// (Definition 1.2): a width-`k` normal-form hypertree decomposition —
+/// guarded by at most `k` of the core's atoms — of both the core's
+/// hypergraph and its frontier hypergraph. Every such decomposition is a
+/// GHD over the view set `V_{Q'}^k`, so counting through it is exact.
 ///
 /// The core of `color(q)` is computed exactly; all cores are isomorphic, so
 /// for the atom-based view set any one of them decides the width.
@@ -55,9 +56,12 @@ pub fn sharp_hypertree_decomposition(q: &ConjunctiveQuery, k: usize) -> Option<S
     crate::width_search::WidthSearch::new(q).decomposition_at(k)
 }
 
-/// The `#`-hypertree width of `q`, searched up to `max_k`. A single
+/// The `#`-hypertree width of `q`, searched up to `max_k`, taken over
+/// normal-form hypertree decompositions. It is at least the width over
+/// all GHDs (Definition 1.2) and equals it on every query of the test
+/// corpus; counts are exact either way. A single
 /// [`crate::width_search::WidthSearch`] drives the whole sweep, so the core
-/// is computed once and refuted blocks carry over between widths.
+/// is computed once.
 pub fn sharp_hypertree_width(q: &ConjunctiveQuery, max_k: usize) -> Option<usize> {
     crate::width_search::WidthSearch::new(q)
         .find_up_to(max_k)

@@ -24,23 +24,24 @@
 //! stable-sort tie-breaking — so the two engines try candidates in the
 //! *identical* order and find identical witnesses.
 //!
-//! # Cross-width reuse
+//! # One combo table, two searches
 //!
-//! [`GhwSearch`] keeps one [`Engine`] and one [`UnionSpace`] across the
-//! whole `k = 1, 2, …` sweep: combo layers extend incrementally, and blocks
-//! refuted at width `k` whose candidate-universe fingerprint is unchanged
-//! at `k+1` are refuted again without expanding any bags (see
-//! `tp`'s module docs and DESIGN.md §Planner for the soundness argument).
+//! The normal-form hypertree search ([`crate::hd`]) draws its guards from
+//! the same table: a universe's only normal-form bag is the universe
+//! itself, its maximal bag, so the normal form is the same stream with every
+//! universe cut to that bag. Both searches run one width through
+//! [`search_at`], which holds the planner's spans and counters. Each width
+//! builds a fresh table and engine; nothing carries from one width to the
+//! next.
 
-use crate::tp::{BlockCandidates, Candidate, CandidateSource, Engine, FxHasher, SearchStats};
+use crate::tp::{Candidate, CandidateSource, Engine};
 use crate::Hypertree;
 use cqcount_hypergraph::{Hypergraph, NodeSet};
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
-use std::hash::{Hash, Hasher};
 
-/// All `k`-element index combinations of `0..n` for `k ≤ max_k`.
+/// All `k`-element index combinations of `0..n` for `k ≤ max_k`, in
+/// ascending size.
 pub(crate) fn combinations_upto(n: usize, max_k: usize) -> Vec<Vec<usize>> {
     let mut out: Vec<Vec<usize>> = vec![vec![]];
     let mut result = Vec::new();
@@ -92,89 +93,54 @@ struct ComboEntry {
     connected: bool,
 }
 
-/// The incrementally-extended space of resource unions for a `k`-sweep.
-///
-/// Holds every combo of ≤ `k` resources with its union and connectivity,
-/// in two priority groups (connected first), each in ascending combo size
-/// — the exact order the eager engine sorted combos into. Extending to
-/// `k+1` only analyzes the new size-(k+1) layer.
-pub struct UnionSpace {
-    resources: Vec<NodeSet>,
+/// The combo table of one width-`k` search: every combo of ≤ `k`
+/// resources with its union and connectivity, in [`combinations_upto`]
+/// order.
+pub(crate) struct UnionSpace {
     entries: Vec<ComboEntry>,
-    /// Indices into `entries`: connected combos, ascending size.
-    conn_order: Vec<u32>,
-    /// Indices into `entries`: disconnected combos, ascending size.
-    disc_order: Vec<u32>,
-    /// The size-`k` combos, kept to generate the next layer.
-    last_layer: Vec<Vec<usize>>,
-    k: usize,
-    universes_opened: Cell<u64>,
+    /// Normal form: every universe yields only its maximal bag.
+    maximal_only: bool,
 }
 
 impl UnionSpace {
-    pub fn new(resources: Vec<NodeSet>) -> UnionSpace {
-        UnionSpace {
-            resources,
-            entries: Vec::new(),
-            conn_order: Vec::new(),
-            disc_order: Vec::new(),
-            last_layer: vec![Vec::new()],
-            k: 0,
-            universes_opened: Cell::new(0),
-        }
-    }
-
-    /// Number of combos analyzed so far.
-    pub fn combos(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Candidate universes opened (deduped per-block avail sets), total.
-    pub fn universes_opened(&self) -> u64 {
-        self.universes_opened.get()
-    }
-
-    /// Extends the space with combo layers up to size `k`.
-    pub fn extend_to(&mut self, k: usize) {
-        let n = self.resources.len();
-        while self.k < k {
-            let layer: Vec<Vec<usize>> = self
-                .last_layer
-                .iter()
-                .flat_map(|combo| {
-                    let start = combo.last().map_or(0, |&l| l + 1);
-                    (start..n).map(move |i| {
-                        let mut c = combo.clone();
-                        c.push(i);
-                        c
-                    })
-                })
-                .collect();
-            for combo in &layer {
+    pub(crate) fn new(resources: &[NodeSet], k: usize, maximal_only: bool) -> UnionSpace {
+        let entries = combinations_upto(resources.len(), k)
+            .into_iter()
+            .map(|combo| {
                 let mut union = NodeSet::new();
-                for &i in combo {
-                    union.union_with(&self.resources[i]);
+                for &i in &combo {
+                    union.union_with(&resources[i]);
                 }
                 // Connected λ-sets materialize as joins with shared
                 // columns; disconnected ones are cross products. Preferring
                 // connected combos does not affect completeness, only which
                 // witness is found first — and its evaluation cost.
-                let connected = is_connected_combo(combo, &self.resources);
-                let idx = self.entries.len() as u32;
-                self.entries.push(ComboEntry {
+                let connected = is_connected_combo(&combo, resources);
+                ComboEntry {
                     union,
-                    combo: combo.clone(),
+                    combo,
                     connected,
-                });
-                if connected {
-                    self.conn_order.push(idx);
-                } else {
-                    self.disc_order.push(idx);
                 }
-            }
-            self.last_layer = layer;
-            self.k += 1;
+            })
+            .collect();
+        UnionSpace {
+            entries,
+            maximal_only,
         }
+    }
+
+    /// The guard bag `union ∩ (conn ∪ comp)` of every combo whose union
+    /// covers `conn` and meets `comp`, in table order, duplicates kept.
+    pub(crate) fn guards<'a>(
+        &'a self,
+        conn: &'a NodeSet,
+        comp: &'a NodeSet,
+    ) -> impl Iterator<Item = Candidate> + 'a {
+        let allowed = conn.union(comp);
+        self.entries.iter().filter_map(move |e| {
+            let bag = e.union.intersection(&allowed);
+            (conn.is_subset(&bag) && bag.intersects(comp)).then(|| (bag, e.combo.clone()))
+        })
     }
 }
 
@@ -184,16 +150,15 @@ impl UnionSpace {
 /// sort produced.
 struct UniState<'a> {
     combo: &'a [usize],
-    combo_len: usize,
     connected: bool,
     free: Vec<u32>,
     /// Current subset size (popcount), descending from `free.len()` to 1.
     size: usize,
     /// Current mask over `free`, popcount == `size`.
     mask: u64,
-    /// `free.len() > MAX_ENUM_FREE`: emit only the maximal bag.
-    capped: bool,
-    done: bool,
+    /// Emit only the maximal bag: the normal form, or more than
+    /// [`MAX_ENUM_FREE`] free vertices.
+    maximal_only: bool,
 }
 
 /// Next mask with the same popcount (Gosper's hack); caller checks overflow.
@@ -206,14 +171,8 @@ fn next_same_popcount(v: u64) -> u64 {
 impl UniState<'_> {
     fn bag(&self, conn: &NodeSet) -> NodeSet {
         let mut bag = conn.clone();
-        if self.capped {
-            for &x in &self.free {
-                bag.insert(x);
-            }
-            return bag;
-        }
         for (j, &x) in self.free.iter().enumerate() {
-            if self.mask & (1 << j) != 0 {
+            if self.maximal_only || self.mask & (1 << j) != 0 {
                 bag.insert(x);
             }
         }
@@ -222,8 +181,7 @@ impl UniState<'_> {
 
     /// Move to the next mask; `false` when the stream is exhausted.
     fn advance(&mut self) -> bool {
-        if self.capped {
-            self.done = true;
+        if self.maximal_only {
             return false;
         }
         let next = next_same_popcount(self.mask);
@@ -236,7 +194,6 @@ impl UniState<'_> {
             self.mask = (1u64 << self.size) - 1;
             return true;
         }
-        self.done = true;
         false
     }
 }
@@ -259,7 +216,7 @@ impl LazyCandidates<'_> {
         (
             !u.connected,
             Reverse(self.conn.len() + u.size),
-            u.combo_len,
+            u.combo.len(),
             idx,
         )
     }
@@ -280,64 +237,47 @@ impl Iterator for LazyCandidates<'_> {
     }
 }
 
-/// Order-independent 128-bit fingerprint of a block's deduped universe
-/// collection. Refutations transfer across widths only on exact match, so
-/// this must identify the *set* of avail sets, not their discovery order
-/// (which shifts as combo layers are appended).
-fn universe_fingerprint(mut avails: Vec<NodeSet>) -> u128 {
-    avails.sort();
-    let mut lo = FxHasher::default();
-    let mut hi = FxHasher::default();
-    lo.write_u64(0x9e37_79b9_7f4a_7c15);
-    hi.write_u64(0x6a09_e667_f3bc_c909);
-    for a in &avails {
-        a.hash(&mut lo);
-        a.hash(&mut hi);
-    }
-    ((hi.finish() as u128) << 64) | lo.finish() as u128
-}
-
 impl CandidateSource for UnionSpace {
-    fn open<'a>(&'a self, conn: &NodeSet, comp: &NodeSet) -> BlockCandidates<'a> {
+    fn open<'a>(
+        &'a self,
+        conn: &NodeSet,
+        comp: &NodeSet,
+    ) -> Box<dyn Iterator<Item = Candidate> + 'a> {
         let allowed = conn.union(comp);
-        // Dedup the available-universe sets sequentially (the `seen` state
-        // is order-dependent by design: first — most connected — wins).
+        // Dedup the available-universe sets sequentially, connected combos
+        // first, each group in ascending size (the `seen` state is
+        // order-dependent by design: first — most connected — wins).
+        let connected_first = self
+            .entries
+            .iter()
+            .filter(|e| e.connected)
+            .chain(self.entries.iter().filter(|e| !e.connected));
         let mut seen: HashSet<NodeSet> = HashSet::new();
         let mut unis: Vec<UniState<'a>> = Vec::new();
-        let mut avails: Vec<NodeSet> = Vec::new();
-        for &idx in self.conn_order.iter().chain(self.disc_order.iter()) {
-            let e = &self.entries[idx as usize];
+        for e in connected_first {
             // Zero-alloc pre-filter: most combos fail the connector test,
             // so don't materialize their available sets at all.
             if !conn.subset_of_intersection(&e.union, &allowed) {
                 continue;
             }
             let avail = e.union.intersection(&allowed);
-            if !seen.insert(avail.clone()) {
+            let free = avail.difference(conn);
+            if !seen.insert(avail) || free.is_empty() {
+                // A repeat, or exactly `conn`: no bag intersects `comp`.
                 continue;
             }
-            let free: Vec<u32> = avail.difference(conn).to_vec();
-            if free.is_empty() {
-                // The universe is exactly `conn`: no bag intersects `comp`.
-                continue;
-            }
-            let capped = free.len() > MAX_ENUM_FREE;
+            let free: Vec<u32> = free.to_vec();
             let size = free.len();
+            let maximal_only = self.maximal_only || size > MAX_ENUM_FREE;
             unis.push(UniState {
                 combo: &e.combo,
-                combo_len: e.combo.len(),
                 connected: e.connected,
-                mask: if capped { 0 } else { (1u64 << size) - 1 },
+                mask: if maximal_only { 0 } else { (1u64 << size) - 1 },
                 size,
                 free,
-                capped,
-                done: false,
+                maximal_only,
             });
-            avails.push(avail);
         }
-        self.universes_opened
-            .set(self.universes_opened.get() + unis.len() as u64);
-        let universe_hash = Some(universe_fingerprint(avails));
         let mut stream = LazyCandidates {
             conn: conn.clone(),
             unis,
@@ -347,83 +287,47 @@ impl CandidateSource for UnionSpace {
             let key = stream.key(idx);
             stream.heap.push(Reverse(key));
         }
-        BlockCandidates {
-            universe_hash,
-            stream: Box::new(stream),
-        }
+        Box::new(stream)
     }
 }
 
-/// An incremental width sweep: one [`Engine`] and one [`UnionSpace`]
-/// shared across `at_most(1), at_most(2), …`, so combo analysis extends
-/// instead of restarting and negative block verdicts carry forward.
-pub struct GhwSearch {
-    space: UnionSpace,
-    engine: Engine,
-}
-
-impl GhwSearch {
-    pub fn new(cover: &Hypergraph, resources: &[NodeSet]) -> GhwSearch {
-        GhwSearch {
-            space: UnionSpace::new(resources.to_vec()),
-            engine: Engine::new(cover),
-        }
-    }
-
-    /// Searches for a width-`k` decomposition, reusing everything learned
-    /// at smaller widths.
-    pub fn at_most(&mut self, k: usize) -> Option<Hypertree> {
-        let counters = cqcount_obs::planner::counters();
-        counters.widths_searched.inc();
-        {
-            let sp = cqcount_obs::trace::span("plan.candidates");
-            let before = self.space.combos();
-            self.space.extend_to(k);
-            if sp.is_armed() {
-                sp.add("combos_new", (self.space.combos() - before) as u64);
-                sp.add("combos_total", self.space.combos() as u64);
-                sp.add("width", k as u64);
-            }
-        }
-        let sp = cqcount_obs::trace::span("plan.blocks");
-        let before = self.engine.stats();
-        let before_unis = self.space.universes_opened();
-        let ht = self.engine.decompose(&self.space);
-        let after = self.engine.stats();
-        let unis = self.space.universes_opened() - before_unis;
-        counters
-            .blocks_solved
-            .add(after.blocks_solved - before.blocks_solved);
-        counters.memo_hits.add(after.memo_hits - before.memo_hits);
-        counters
-            .negative_reuse
-            .add(after.negative_reuse - before.negative_reuse);
-        counters
-            .candidates_yielded
-            .add(after.candidates_tried - before.candidates_tried);
-        counters.universes_opened.add(unis);
+/// One width-`k` search of `cover` whose bags are drawn from the unions of
+/// ≤ `k` `resources`: every subset of a universe for the exact GHW search,
+/// its maximal bag only for the normal form. The one place both searches
+/// emit the `plan.candidates` and `plan.blocks` spans and feed the
+/// process-wide planner counters.
+pub(crate) fn search_at(
+    cover: &Hypergraph,
+    resources: &[NodeSet],
+    k: usize,
+    maximal_only: bool,
+) -> Option<Hypertree> {
+    let counters = cqcount_obs::planner::counters();
+    counters.widths_searched.inc();
+    let space = {
+        let sp = cqcount_obs::trace::span("plan.candidates");
+        let space = UnionSpace::new(resources, k, maximal_only);
         if sp.is_armed() {
+            sp.add("combos", space.entries.len() as u64);
             sp.add("width", k as u64);
-            sp.add("blocks_solved", after.blocks_solved - before.blocks_solved);
-            sp.add("memo_hits", after.memo_hits - before.memo_hits);
-            sp.add(
-                "negative_reuse",
-                after.negative_reuse - before.negative_reuse,
-            );
-            sp.add(
-                "candidates",
-                after.candidates_tried - before.candidates_tried,
-            );
-            sp.add("universes", unis);
-            sp.tag("found", if ht.is_some() { "yes" } else { "no" });
         }
-        ht
+        space
+    };
+    let sp = cqcount_obs::trace::span("plan.blocks");
+    let mut engine = Engine::new(cover);
+    let ht = engine.decompose(&space);
+    let stats = engine.stats();
+    counters.blocks_solved.add(stats.blocks_solved);
+    counters.memo_hits.add(stats.memo_hits);
+    counters.candidates_yielded.add(stats.candidates_tried);
+    if sp.is_armed() {
+        sp.add("width", k as u64);
+        sp.add("blocks_solved", stats.blocks_solved);
+        sp.add("memo_hits", stats.memo_hits);
+        sp.add("candidates", stats.candidates_tried);
+        sp.tag("found", if ht.is_some() { "yes" } else { "no" });
     }
-
-    /// Cumulative engine counters for this sweep.
-    pub fn stats(&self) -> SearchStats {
-        self.engine.stats()
-    }
+    ht
 }
 
 /// Searches for a width-`k` generalized hypertree decomposition of `cover`
@@ -434,27 +338,23 @@ impl GhwSearch {
 /// every hyperedge of `cover` must fit in some bag, while bags must be
 /// covered by at most `k` resources.
 pub fn ghw_at_most(cover: &Hypergraph, resources: &[NodeSet], k: usize) -> Option<Hypertree> {
-    GhwSearch::new(cover, resources).at_most(k)
+    search_at(cover, resources, k, false)
 }
 
 /// The exact generalized hypertree width of `cover` w.r.t. `resources`,
-/// bounded by `max_k`. Returns the width and a witness. The sweep shares
-/// one [`GhwSearch`], so each width extends — rather than restarts — the
-/// last.
+/// bounded by `max_k`. Returns the width and a witness.
 pub fn ghw_exact(
     cover: &Hypergraph,
     resources: &[NodeSet],
     max_k: usize,
 ) -> Option<(usize, Hypertree)> {
-    let mut search = GhwSearch::new(cover, resources);
-    (1..=max_k).find_map(|k| search.at_most(k).map(|ht| (k, ht)))
+    (1..=max_k).find_map(|k| ghw_at_most(cover, resources, k).map(|ht| (k, ht)))
 }
 
 /// Searches for a tree projection of `(h1, h2)`: bags are subsets of single
 /// `h2` hyperedges; `λ` holds the covering `h2` edge index.
 pub fn tree_projection(h1: &Hypergraph, h2: &Hypergraph) -> Option<Hypertree> {
-    let resources: Vec<NodeSet> = h2.edges().to_vec();
-    GhwSearch::new(h1, &resources).at_most(1)
+    ghw_at_most(h1, h2.edges(), 1)
 }
 
 #[cfg(test)]
@@ -636,8 +536,7 @@ mod tests {
         let resources = g.edges().to_vec();
         for k in 1..=3 {
             let mut eager = eager_union_candidates(resources.clone(), k);
-            let mut space = UnionSpace::new(resources.clone());
-            space.extend_to(k);
+            let space = UnionSpace::new(&resources, k, false);
             // Representative blocks: the whole graph, a sub-component with
             // a non-trivial connector, and a singleton.
             let blocks: Vec<(NodeSet, NodeSet)> = vec![
@@ -647,33 +546,10 @@ mod tests {
             ];
             for (conn, comp) in &blocks {
                 let want = eager(conn, comp);
-                let got: Vec<Candidate> = space.open(conn, comp).stream.collect();
+                let got: Vec<Candidate> = space.open(conn, comp).collect();
                 assert_eq!(got, want, "k={k} conn={conn:?} comp={comp:?}");
             }
         }
-    }
-
-    /// Re-searching the same width transfers every refutation: the second
-    /// sweep expands no candidate universes at all.
-    #[test]
-    fn unchanged_universe_refutes_without_expansion() {
-        let g = h(&[&[0, 1], &[1, 2], &[2, 3], &[3, 0]]);
-        let mut s = GhwSearch::new(&g, g.edges());
-        assert!(s.at_most(1).is_none());
-        let first = s.stats();
-        assert_eq!(first.negative_reuse, 0);
-        assert!(s.at_most(1).is_none());
-        let second = s.stats();
-        assert!(
-            second.negative_reuse > 0,
-            "repeat sweep should reuse negatives: {second:?}"
-        );
-        assert_eq!(
-            second.candidates_tried, first.candidates_tried,
-            "no candidate may be re-expanded on an unchanged universe"
-        );
-        // And the sweep still finds the width-2 witness afterwards.
-        assert!(s.at_most(2).is_some());
     }
 
     /// The lazy sweep and the eager oracle agree bag-for-bag on the paper's

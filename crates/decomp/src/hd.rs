@@ -10,45 +10,23 @@
 //! resource edges with `conn ⊆ χ(p)`. Because every bag below the vertex
 //! stays inside `C ∪ conn`, the descendant condition holds by construction;
 //! normal-form completeness is the classical result of \[36\].
+//!
+//! This is the search that plans: `WidthSearch` in `cqcount-core` runs it
+//! at each width. Its guards come from the exact-GHW search's combo table
+//! ([`crate::ghw`]) and are tried in that search's order — connected
+//! guards first, then larger bags, then fewer atoms, repeated bags dropped
+//! first-wins. The order decides which witness is found, and so what
+//! counting joins: the 4-cycle taken fewest-atoms-first gets
+//! `λ = {e(X,Y), e(Z,W)}`, a cross product, where connected-first gets
+//! two atoms that share a variable. On every query the planner has been
+//! measured on, the normal-form witness equals the exact-GHW one.
 
-use crate::ghw::combinations_upto;
-use crate::tp::{decompose, Candidate};
+use crate::ghw::{search_at, UnionSpace};
 use crate::weighted::decompose_min_cost;
 use crate::Hypertree;
 use cqcount_arith::Natural;
 use cqcount_hypergraph::{Hypergraph, NodeSet};
-
-fn hd_candidates(
-    resources: Vec<NodeSet>,
-    k: usize,
-) -> impl FnMut(&NodeSet, &NodeSet) -> Vec<Candidate> {
-    let combos: Vec<(NodeSet, Vec<usize>)> = combinations_upto(resources.len(), k)
-        .into_iter()
-        .map(|combo| {
-            let mut u = NodeSet::new();
-            for &i in &combo {
-                u.union_with(&resources[i]);
-            }
-            (u, combo)
-        })
-        .collect();
-    move |conn, comp| {
-        let allowed = conn.union(comp);
-        let mut out: Vec<Candidate> = Vec::new();
-        for (u, combo) in &combos {
-            // Normal form: the bag is exactly the guard's variables inside
-            // the block.
-            let bag = u.intersection(&allowed);
-            if !conn.is_subset(&bag) || !bag.intersects(comp) {
-                continue;
-            }
-            out.push((bag, combo.clone()));
-        }
-        // Fewer guard atoms first (cheaper bags), then larger coverage.
-        out.sort_by_key(|(bag, lam)| (lam.len(), std::cmp::Reverse(bag.len())));
-        out
-    }
-}
+use std::cmp::Reverse;
 
 /// Searches for a width-`k` hypertree decomposition (normal form, with the
 /// descendant condition) of `cover` using `resources` as guards.
@@ -57,7 +35,7 @@ pub fn hypertree_width_at_most(
     resources: &[NodeSet],
     k: usize,
 ) -> Option<Hypertree> {
-    let ht = decompose(cover, hd_candidates(resources.to_vec(), k))?;
+    let ht = search_at(cover, resources, k, true)?;
     debug_assert!(ht.satisfies_descendant_condition(resources));
     Some(ht)
 }
@@ -86,7 +64,16 @@ pub fn d_optimal_decomposition<G>(
 where
     G: FnMut(&NodeSet, &[usize]) -> Natural,
 {
-    decompose_min_cost(cover, hd_candidates(resources.to_vec(), k), cost)
+    // Every guard, repeated bags included: the cost sees `λ`, so two guards
+    // of one bag are two different vertices. Fewer guard atoms first
+    // (cheaper bags), then larger coverage; ties keep the first.
+    let space = UnionSpace::new(resources, k, true);
+    let guards = |conn: &NodeSet, comp: &NodeSet| {
+        let mut out: Vec<_> = space.guards(conn, comp).collect();
+        out.sort_by_key(|(bag, lam)| (lam.len(), Reverse(bag.len())));
+        out
+    };
+    decompose_min_cost(cover, guards, cost)
 }
 
 #[cfg(test)]

@@ -14,7 +14,10 @@
 //! On top of the engine:
 //!
 //! * [`ghw`] — width-`k` generalized hypertree decompositions (the view set
-//!   `V_Q^k` of Section 4: resources are unions of `k` hyperedges);
+//!   `V_Q^k` of Section 4: resources are unions of `k` hyperedges), the
+//!   exact widths the paper states;
+//! * [`hd`] — normal-form hypertree decompositions over the same unions,
+//!   the search the planner runs;
 //! * [`treedec`] — plain tree decompositions / treewidth (resources are all
 //!   node sets of size `k+1`);
 //! * [`weighted`] — minimum-cost decompositions for an additive per-vertex
@@ -33,8 +36,8 @@ pub mod treedec;
 pub mod weighted;
 
 pub use fractional::{fractional_edge_cover_number, fractional_hypertree_width_at_most};
-pub use ghw::{ghw_at_most, ghw_exact, tree_projection, GhwSearch, UnionSpace};
+pub use ghw::{ghw_at_most, ghw_exact, tree_projection};
 pub use hd::{d_optimal_decomposition, hypertree_width_at_most, hypertree_width_exact};
 pub use jointree::Hypertree;
-pub use tp::{decompose, BlockCandidates, Candidate, CandidateSource, Engine, SearchStats};
+pub use tp::{decompose, Candidate};
 pub use treedec::{treewidth_at_most, treewidth_exact};

@@ -19,21 +19,10 @@
 //! serving sizes a block costs microseconds, less than one pool task (see
 //! DESIGN.md §Planner, "One lane"). Candidates are pulled one at a time,
 //! sibling components of `C \ B` are solved in order with short-circuit on
-//! the first undecomposable one, and the memo is a plain map. At a fixed
-//! width `solve(C)` is a pure function of `C` (candidates derive from the
-//! block alone), so the witness is the first success in candidate order at
-//! every level.
-//!
-//! # Cross-width negative reuse
-//!
-//! The engine survives across widths (see [`crate::ghw::GhwSearch`]).
-//! Between widths every *positive* entry is invalidated (an epoch bump —
-//! wider searches must rediscover witnesses in their own candidate order),
-//! but *negative* verdicts persist together with a fingerprint of the
-//! block's candidate universe. If the universe is unchanged at `k+1` the
-//! whole subtree search would replay verbatim, so the block is refuted
-//! without expanding a single bag. The soundness argument lives in
-//! DESIGN.md §Planner.
+//! the first undecomposable one, and the memo is a plain map from block to
+//! verdict. One engine serves one search: `solve(C)` is a pure function of
+//! `C` (candidates derive from the block alone), so the witness is the
+//! first success in candidate order at every level.
 //!
 //! Candidate bags are supplied by a [`CandidateSource`] (or a plain closure
 //! through [`decompose`]), which is how the same engine serves tree
@@ -47,66 +36,38 @@ use cqcount_hypergraph::{Hypergraph, NodeSet};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A candidate bag: the bag node set plus an opaque payload (resource
 /// indices) recorded into `λ` of the produced [`Hypertree`].
 pub type Candidate = (NodeSet, Vec<usize>);
 
-/// The candidates for one block, opened by a [`CandidateSource`].
-pub struct BlockCandidates<'a> {
-    /// Fingerprint of the block's candidate universe, if the source can
-    /// compute one cheaply (without expanding the stream). Blocks refuted
-    /// at a previous width with the same fingerprint are refuted without
-    /// touching `stream`. `None` disables cross-width reuse.
-    pub universe_hash: Option<u128>,
-    /// Candidate bags in decreasing priority order; pulled lazily.
-    pub stream: Box<dyn Iterator<Item = Candidate> + 'a>,
-}
-
-/// Supplies candidate bags for blocks `(comp, conn = N(comp))`.
-///
-/// `open` must be a pure function of the block: cross-width negative reuse
-/// relies on every call for the same block yielding the same candidates in
-/// the same order.
-pub trait CandidateSource {
-    fn open<'a>(&'a self, conn: &NodeSet, comp: &NodeSet) -> BlockCandidates<'a>;
+/// Supplies candidate bags for blocks `(comp, conn = N(comp))`, in
+/// decreasing priority order, pulled lazily.
+pub(crate) trait CandidateSource {
+    fn open<'a>(
+        &'a self,
+        conn: &NodeSet,
+        comp: &NodeSet,
+    ) -> Box<dyn Iterator<Item = Candidate> + 'a>;
 }
 
 /// A subtree of bags (pre-flattening). Shared, not cloned: sibling blocks
-/// frequently reuse identical memoized subtrees. `Arc`, not `Rc`, so that an
-/// [`Engine`] (and the width sweeps owning one) stays `Send`.
+/// frequently reuse identical memoized subtrees.
 #[derive(Debug)]
 struct BagNode {
     bag: NodeSet,
     lambda: Vec<usize>,
-    children: Vec<Arc<BagNode>>,
-}
-
-/// Memo slot for one block, tagged with the epoch (width level) that wrote
-/// it. Stale `Solved` entries are dead; stale `Refuted` entries seed
-/// cross-width reuse via their universe fingerprint.
-enum Slot {
-    Solved {
-        epoch: u64,
-        tree: Arc<BagNode>,
-    },
-    Refuted {
-        epoch: u64,
-        universe_hash: Option<u128>,
-    },
+    children: Vec<Rc<BagNode>>,
 }
 
 /// A point-in-time copy of the engine's search counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SearchStats {
+pub(crate) struct SearchStats {
     /// Blocks actually computed (memo fills, positive or negative).
     pub blocks_solved: u64,
     /// Memo hits.
     pub memo_hits: u64,
-    /// Blocks refuted by an unchanged-universe transfer from a previous
-    /// width, skipping candidate expansion entirely.
-    pub negative_reuse: u64,
     /// Candidate bags pulled from streams and attempted.
     pub candidates_tried: u64,
 }
@@ -115,7 +76,7 @@ pub struct SearchStats {
 /// `u64` block vectors, where this beats SipHash by a wide margin. Local
 /// because this workspace takes no external crates.
 #[derive(Default)]
-pub(crate) struct FxHasher {
+struct FxHasher {
     hash: u64,
 }
 
@@ -155,37 +116,38 @@ impl Hasher for FxHasher {
     }
 }
 
-pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
+type FxBuild = BuildHasherDefault<FxHasher>;
 
-/// The block-search engine. One instance persists across width levels so
-/// that negative verdicts (and their universe fingerprints) carry over;
-/// see [`Engine::decompose`].
-pub struct Engine {
+/// The block-search engine of one decomposition search.
+pub(crate) struct Engine {
     h1: Hypergraph,
     primal: PrimalGraph,
-    memo: HashMap<NodeSet, Slot, FxBuild>,
-    epoch: u64,
+    memo: HashMap<NodeSet, Option<Rc<BagNode>>, FxBuild>,
     stats: SearchStats,
 }
 
 impl Engine {
-    pub fn new(h1: &Hypergraph) -> Engine {
+    pub(crate) fn new(h1: &Hypergraph) -> Engine {
         Engine {
             h1: h1.clone(),
             primal: PrimalGraph::of(h1),
             memo: HashMap::default(),
-            epoch: 0,
             stats: SearchStats::default(),
         }
     }
 
-    /// Runs one full decomposition search over the current candidate
-    /// source. Call again (same engine, typically a widened source) to
-    /// reuse negative block verdicts; positive entries are invalidated
-    /// between calls so witnesses stay deterministic.
-    pub fn decompose<S: CandidateSource>(&mut self, source: &S) -> Option<Hypertree> {
-        self.epoch += 1;
+    /// Runs the decomposition search over `source`'s candidates.
+    pub(crate) fn decompose<S: CandidateSource>(&mut self, source: &S) -> Option<Hypertree> {
         let roots = self.components_within(self.h1.nodes());
+        if roots.is_empty() {
+            // No node means no block to solve. A tree still needs one
+            // vertex, and every node-free hyperedge fits its empty bag.
+            return Some(Hypertree::from_parts(
+                vec![NodeSet::new()],
+                vec![Vec::new()],
+                vec![None],
+            ));
+        }
         let forest = self.solve_all(&roots, source)?;
         let ht = flatten(&forest);
         debug_assert!(ht.covers_all_edges(&self.h1), "clique lemma violated: bug");
@@ -193,8 +155,8 @@ impl Engine {
         Some(ht)
     }
 
-    /// Snapshot the engine's cumulative search counters.
-    pub fn stats(&self) -> SearchStats {
+    /// The engine's search counters so far.
+    pub(crate) fn stats(&self) -> SearchStats {
         self.stats
     }
 
@@ -238,44 +200,15 @@ impl Engine {
     }
 
     /// Decides decomposability of the block `(comp, N(comp))`.
-    fn solve<S: CandidateSource>(&mut self, comp: &NodeSet, source: &S) -> Option<Arc<BagNode>> {
-        // A current-epoch verdict is a hit; a stale refutation hands over
-        // the universe fingerprint it was refuted under.
-        let prior = match self.memo.get(comp) {
-            Some(Slot::Solved { epoch, tree }) if *epoch == self.epoch => {
-                self.stats.memo_hits += 1;
-                return Some(tree.clone());
-            }
-            Some(Slot::Refuted { epoch, .. }) if *epoch == self.epoch => {
-                self.stats.memo_hits += 1;
-                return None;
-            }
-            Some(Slot::Refuted { universe_hash, .. }) => *universe_hash,
-            _ => None,
-        };
+    fn solve<S: CandidateSource>(&mut self, comp: &NodeSet, source: &S) -> Option<Rc<BagNode>> {
+        if let Some(verdict) = self.memo.get(comp) {
+            self.stats.memo_hits += 1;
+            return verdict.clone();
+        }
         let conn = self.neighborhood(comp);
-        let opened = source.open(&conn, comp);
-        let universe_hash = opened.universe_hash;
-        let result = if universe_hash.is_some() && universe_hash == prior {
-            // Refuted at a previous width over the identical candidate
-            // universe: the whole subtree search would replay verbatim.
-            self.stats.negative_reuse += 1;
-            None
-        } else {
-            self.search_block(comp, &conn, opened.stream, source)
-        };
+        let result = self.search_block(comp, &conn, source.open(&conn, comp), source);
         self.stats.blocks_solved += 1;
-        let slot = match &result {
-            Some(tree) => Slot::Solved {
-                epoch: self.epoch,
-                tree: tree.clone(),
-            },
-            None => Slot::Refuted {
-                epoch: self.epoch,
-                universe_hash,
-            },
-        };
-        self.memo.insert(comp.clone(), slot);
+        self.memo.insert(comp.clone(), result.clone());
         result
     }
 
@@ -287,7 +220,7 @@ impl Engine {
         conn: &NodeSet,
         stream: Box<dyn Iterator<Item = Candidate> + '_>,
         source: &S,
-    ) -> Option<Arc<BagNode>> {
+    ) -> Option<Rc<BagNode>> {
         let allowed = conn.union(comp);
         for (bag, lambda) in stream {
             if !(conn.is_subset(&bag) && bag.is_subset(&allowed) && bag.intersects(comp)) {
@@ -298,7 +231,7 @@ impl Engine {
             // `comp \ bag` solves.
             let subs = self.components_within(&comp.difference(&bag));
             if let Some(children) = self.solve_all(&subs, source) {
-                return Some(Arc::new(BagNode {
+                return Some(Rc::new(BagNode {
                     bag,
                     lambda,
                     children,
@@ -314,12 +247,12 @@ impl Engine {
         &mut self,
         comps: &[NodeSet],
         source: &S,
-    ) -> Option<Vec<Arc<BagNode>>> {
+    ) -> Option<Vec<Rc<BagNode>>> {
         comps.iter().map(|sub| self.solve(sub, source)).collect()
     }
 }
 
-fn flatten(forest: &[Arc<BagNode>]) -> Hypertree {
+fn flatten(forest: &[Rc<BagNode>]) -> Hypertree {
     let mut chi = Vec::new();
     let mut lambda = Vec::new();
     let mut parent = Vec::new();
@@ -346,12 +279,12 @@ impl<F> CandidateSource for ClosureSource<F>
 where
     F: FnMut(&NodeSet, &NodeSet) -> Vec<Candidate>,
 {
-    fn open<'a>(&'a self, conn: &NodeSet, comp: &NodeSet) -> BlockCandidates<'a> {
-        let cands = (self.0.borrow_mut())(conn, comp);
-        BlockCandidates {
-            universe_hash: None,
-            stream: Box::new(cands.into_iter()),
-        }
+    fn open<'a>(
+        &'a self,
+        conn: &NodeSet,
+        comp: &NodeSet,
+    ) -> Box<dyn Iterator<Item = Candidate> + 'a> {
+        Box::new((self.0.borrow_mut())(conn, comp).into_iter())
     }
 }
 
@@ -489,35 +422,5 @@ mod tests {
         let g = Hypergraph::from_edges(edges);
         let ht = decompose(&g, subsets_of(g.edges().to_vec())).unwrap();
         assert!(ht.verify_ghd(&g, g.edges()));
-    }
-
-    #[test]
-    fn engine_reuses_negative_verdicts_across_calls() {
-        // A source whose fingerprint says "unchanged": the second search
-        // must refute every block via transfer, never touching the stream.
-        struct Fixed {
-            cands: Vec<Candidate>,
-        }
-        impl CandidateSource for Fixed {
-            fn open<'a>(&'a self, _conn: &NodeSet, _comp: &NodeSet) -> BlockCandidates<'a> {
-                BlockCandidates {
-                    universe_hash: Some(7),
-                    stream: Box::new(self.cands.iter().cloned()),
-                }
-            }
-        }
-        let g = h(&[&[0, 1], &[1, 2], &[2, 3], &[3, 0]]);
-        let src = Fixed { cands: Vec::new() };
-        let mut engine = Engine::new(&g);
-        assert!(engine.decompose(&src).is_none());
-        let first = engine.stats();
-        assert!(first.blocks_solved >= 1);
-        assert_eq!(first.negative_reuse, 0);
-        assert!(engine.decompose(&src).is_none());
-        let second = engine.stats();
-        assert!(
-            second.negative_reuse >= 1,
-            "second sweep must transfer the refutation: {second:?}"
-        );
     }
 }

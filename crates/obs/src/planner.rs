@@ -4,7 +4,7 @@
 //! any [`crate::metrics::Registry`]; threading a registry handle through
 //! every `solve` call would put an argument on the hottest recursion in
 //! the planner. Instead the search increments these detached counters
-//! (one relaxed atomic add per event, batched per width sweep), and any
+//! (one relaxed atomic add per event, batched per width searched), and any
 //! registry that wants them exposed attaches the shared handles via
 //! [`crate::metrics::Registry::attach_counter`].
 //!
@@ -19,16 +19,11 @@ use std::sync::OnceLock;
 pub struct PlannerCounters {
     /// Blocks `(C, N(C))` actually solved (memo fills, positive or negative).
     pub blocks_solved: Counter,
-    /// Memo hits, including negative verdicts shared between workers.
+    /// Memo hits, positive or negative.
     pub memo_hits: Counter,
-    /// Blocks refuted at width `k+1` by transferring the width-`k` negative
-    /// verdict (identical candidate universe, no re-expansion).
-    pub negative_reuse: Counter,
     /// Candidate bags pulled from the lazy streams and tried.
     pub candidates_yielded: Counter,
-    /// Candidate universes (deduped per-block avail sets) opened.
-    pub universes_opened: Counter,
-    /// Width levels searched (`at_most` calls).
+    /// Width levels searched (one per single-width search).
     pub widths_searched: Counter,
 }
 
@@ -38,9 +33,7 @@ pub fn counters() -> &'static PlannerCounters {
     GLOBAL.get_or_init(|| PlannerCounters {
         blocks_solved: Counter::detached(),
         memo_hits: Counter::detached(),
-        negative_reuse: Counter::detached(),
         candidates_yielded: Counter::detached(),
-        universes_opened: Counter::detached(),
         widths_searched: Counter::detached(),
     })
 }

@@ -466,12 +466,12 @@ fn run(args: &[String]) -> Result<(), String> {
             println!("degraded:     {}", s.degraded);
             println!("faults:       {}", s.faults_injected);
             println!(
-                "planner:      {} blocks solved, {} memo hits, {} negative reuses",
-                s.planner_blocks_solved, s.planner_memo_hits, s.planner_negative_reuse
+                "planner:      {} blocks solved, {} memo hits",
+                s.planner_blocks_solved, s.planner_memo_hits
             );
             println!(
-                "              {} candidates, {} universes, {} widths searched",
-                s.planner_candidates, s.planner_universes, s.planner_widths_searched
+                "              {} candidates, {} widths searched",
+                s.planner_candidates, s.planner_widths_searched
             );
             println!(
                 "mutations:    {} applied, {} delta bags touched, {} delta fallbacks",

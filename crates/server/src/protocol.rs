@@ -342,12 +342,8 @@ pub struct StatsReply {
     pub planner_blocks_solved: u64,
     /// Planner: memo hits inside the block recursion (v4+).
     pub planner_memo_hits: u64,
-    /// Planner: width-`k` negative verdicts reused at `k+1` (v4+).
-    pub planner_negative_reuse: u64,
     /// Planner: candidate bags pulled from the lazy streams (v4+).
     pub planner_candidates: u64,
-    /// Planner: candidate universes opened (v4+).
-    pub planner_universes: u64,
     /// Planner: width levels searched (v4+).
     pub planner_widths_searched: u64,
     /// Mutations applied (effective inserts + deletes; v6+, zero when
@@ -1232,13 +1228,14 @@ impl Response {
                 }
                 // v4 trailing fields: planner search counters. Decoders
                 // treat them as optional, so a v3 reply (ending at the db
-                // list) still parses.
+                // list) still parses. Slots 2 and 4 held two retired
+                // counters and are written as 0.
                 for v in [
                     s.planner_blocks_solved,
                     s.planner_memo_hits,
-                    s.planner_negative_reuse,
+                    0,
                     s.planner_candidates,
-                    s.planner_universes,
+                    0,
                     s.planner_widths_searched,
                 ] {
                     write_uleb(&mut p, v);
@@ -1449,6 +1446,7 @@ impl Response {
                     });
                 }
                 // v4 trailing planner counters; absent in v3 replies.
+                // Slots 2 and 4 are retired and skipped.
                 let mut planner = [0u64; 6];
                 if pos != buf.len() {
                     for v in &mut planner {
@@ -1504,9 +1502,7 @@ impl Response {
                     dbs,
                     planner_blocks_solved: planner[0],
                     planner_memo_hits: planner[1],
-                    planner_negative_reuse: planner[2],
                     planner_candidates: planner[3],
-                    planner_universes: planner[4],
                     planner_widths_searched: planner[5],
                     mutations_applied: mutation[0],
                     delta_bags_touched: mutation[1],
@@ -2100,9 +2096,7 @@ mod tests {
             }],
             planner_blocks_solved: 321,
             planner_memo_hits: 100,
-            planner_negative_reuse: 7,
             planner_candidates: 5000,
-            planner_universes: 90,
             planner_widths_searched: 3,
             mutations_applied: 12,
             delta_bags_touched: 31,

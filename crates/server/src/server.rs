@@ -533,12 +533,10 @@ impl Metrics {
     /// directly, see `cqcount_obs::planner`).
     fn attach_planner_counters(&self) {
         let p = cqcount_obs::planner::counters();
-        let events: [(&str, &Counter); 6] = [
+        let events: [(&str, &Counter); 4] = [
             ("blocks_solved", &p.blocks_solved),
             ("memo_hits", &p.memo_hits),
-            ("negative_reuse", &p.negative_reuse),
             ("candidates_yielded", &p.candidates_yielded),
-            ("universes_opened", &p.universes_opened),
             ("widths_searched", &p.widths_searched),
         ];
         for (event, counter) in events {
@@ -731,9 +729,7 @@ impl Shared {
             dbs,
             planner_blocks_solved: planner.blocks_solved.get(),
             planner_memo_hits: planner.memo_hits.get(),
-            planner_negative_reuse: planner.negative_reuse.get(),
             planner_candidates: planner.candidates_yielded.get(),
-            planner_universes: planner.universes_opened.get(),
             planner_widths_searched: planner.widths_searched.get(),
             mutations_applied: self.metrics.mutations.get(),
             delta_bags_touched: self.metrics.delta_bags_touched.get(),

@@ -258,9 +258,7 @@ fn metrics_exposition_matches_the_traffic_sent() {
     for event in [
         "blocks_solved",
         "memo_hits",
-        "negative_reuse",
         "candidates_yielded",
-        "universes_opened",
         "widths_searched",
     ] {
         assert!(
