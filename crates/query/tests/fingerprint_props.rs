@@ -1,11 +1,13 @@
 //! Property tests for the canonical query fingerprint: renaming variables,
 //! reordering atoms, and duplicating conjuncts must leave the fingerprint
 //! unchanged, while adding/removing an atom or editing a constant must
-//! change it. Seeded loops per the in-repo convention; `exhaustive-tests`
-//! raises the case count.
+//! change it. Every other case is a one-relation self-join body of up to
+//! 12 variables, whose tied color classes make the labeling search branch
+//! and prune interchangeable variables. Seeded loops per the in-repo
+//! convention; `exhaustive-tests` raises the case count.
 
 use cqcount_arith::prng::Rng;
-use cqcount_query::fingerprint::fingerprint;
+use cqcount_query::fingerprint::{fingerprint, fingerprint_with_stats};
 use cqcount_query::{ConjunctiveQuery, Term, Var};
 
 const CASES: usize = if cfg!(feature = "exhaustive-tests") {
@@ -45,6 +47,62 @@ fn random_query(rng: &mut Rng) -> ConjunctiveQuery {
         .collect();
     q.set_free(free);
     q
+}
+
+/// A random self-join body of up to 12 variables over one binary relation:
+/// 2 to 6 copies of a small random motif, either disjoint or glued at a
+/// shared hub, sometimes plus one stray atom, and a free set of at most
+/// two variables — so most bodies keep interchangeable variables or
+/// interchangeable copies.
+fn self_join_query(rng: &mut Rng) -> ConjunctiveQuery {
+    let mut q = ConjunctiveQuery::new();
+    let motif_vars = rng.range_usize(1, 5);
+    let copies = rng.range_usize(2, 12 / motif_vars + 1).min(6);
+    let hub = (rng.range_u32(0, 2) == 0).then(|| q.var("H"));
+    // Motif atom ends index the copy's variables 0..motif_vars; index
+    // motif_vars is the hub.
+    let ends = motif_vars + usize::from(hub.is_some());
+    let motif: Vec<(usize, usize)> = (0..rng.range_usize(1, 5))
+        .map(|_| (rng.range_usize(0, ends), rng.range_usize(0, ends)))
+        .collect();
+    let mut vars: Vec<Var> = hub.into_iter().collect();
+    for c in 0..copies {
+        let copy: Vec<Var> = (0..motif_vars)
+            .map(|i| q.var(&format!("V{c}_{i}")))
+            .collect();
+        let term = |i: usize| {
+            Term::Var(if i < motif_vars {
+                copy[i]
+            } else {
+                hub.unwrap()
+            })
+        };
+        for &(a, b) in &motif {
+            q.add_atom("s", vec![term(a), term(b)]);
+        }
+        vars.extend(copy);
+    }
+    if rng.range_u32(0, 3) == 0 {
+        let a = vars[rng.range_usize(0, vars.len())];
+        let b = vars[rng.range_usize(0, vars.len())];
+        q.add_atom("s", vec![Term::Var(a), Term::Var(b)]);
+    }
+    let occurring: Vec<Var> = q.vars_in_atoms().into_iter().collect();
+    let free: Vec<Var> = (0..rng.range_usize(0, 3))
+        .map(|_| occurring[rng.range_usize(0, occurring.len())])
+        .collect();
+    q.set_free(free);
+    q
+}
+
+/// The query of case `case`: the small mixed generator on even cases, a
+/// self-join body on odd ones.
+fn case_query(rng: &mut Rng, case: usize) -> ConjunctiveQuery {
+    if case.is_multiple_of(2) {
+        random_query(rng)
+    } else {
+        self_join_query(rng)
+    }
 }
 
 /// Rebuilds `q` with variables renamed by `rename` and atoms reordered by
@@ -88,9 +146,13 @@ fn shuffled(rng: &mut Rng, n: usize) -> Vec<usize> {
 #[test]
 fn renaming_and_reordering_preserve_fingerprint() {
     let mut rng = Rng::seed_from_u64(0x51);
+    let (mut branched, mut pruned) = (0, 0);
     for case in 0..CASES {
-        let q = random_query(&mut rng);
-        let f0 = fingerprint(&q);
+        let q = case_query(&mut rng, case);
+        let (f0, stats) = fingerprint_with_stats(&q);
+        assert!(!stats.capped, "case {case}: q = {q}");
+        branched += usize::from(stats.leaves > 1);
+        pruned += usize::from(stats.pruned > 0);
         // fresh names in a scrambled interning order, atoms shuffled
         let offset = rng.range_usize(10, 1000);
         let order = shuffled(&mut rng, q.atoms().len());
@@ -101,13 +163,16 @@ fn renaming_and_reordering_preserve_fingerprint() {
         let q3 = transformed(&q, &|name: &str| name.to_owned(), &order2);
         assert_eq!(f0, fingerprint(&q3), "case {case}: q = {q}");
     }
+    // The self-join bodies make the labeling search branch and prune.
+    assert!(branched >= CASES / 8, "only {branched} cases branched");
+    assert!(pruned >= CASES / 8, "only {pruned} cases pruned twins");
 }
 
 #[test]
 fn duplicated_conjuncts_preserve_fingerprint() {
     let mut rng = Rng::seed_from_u64(0x52);
     for case in 0..CASES {
-        let q = random_query(&mut rng);
+        let q = case_query(&mut rng, case);
         let f0 = fingerprint(&q);
         let mut q2 = q.clone();
         let i = rng.range_usize(0, q.atoms().len());
@@ -121,7 +186,7 @@ fn duplicated_conjuncts_preserve_fingerprint() {
 fn structural_edits_change_fingerprint() {
     let mut rng = Rng::seed_from_u64(0x53);
     for case in 0..CASES {
-        let q = random_query(&mut rng);
+        let q = case_query(&mut rng, case);
         let f0 = fingerprint(&q);
 
         // Adding an atom over a fresh relation symbol must be visible.
@@ -172,7 +237,7 @@ fn structural_edits_change_fingerprint() {
 fn removing_an_atom_changes_fingerprint() {
     let mut rng = Rng::seed_from_u64(0x54);
     for case in 0..CASES {
-        let q = random_query(&mut rng);
+        let q = case_query(&mut rng, case);
         // Only meaningful when the removed atom is not a duplicate of a
         // remaining one (conjunction is idempotent, and the fingerprint
         // treats it as such on purpose).

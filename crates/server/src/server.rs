@@ -59,7 +59,7 @@ use cqcount_obs::history::MetricsHistory;
 use cqcount_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use cqcount_obs::trace;
 use cqcount_obs::watchdog::{HeartbeatKind, Watchdog};
-use cqcount_query::fingerprint::fingerprint;
+use cqcount_query::fingerprint::{fingerprint_with_stats, QueryFingerprint};
 use cqcount_query::{parse_database, parse_query, ConjunctiveQuery, Var};
 use cqcount_relational::Database;
 use std::collections::HashMap;
@@ -319,6 +319,8 @@ pub(crate) struct Metrics {
     pub(crate) watchdog_stalled_workers: Gauge,
     /// Metrics-history samples taken.
     pub(crate) history_samples: Counter,
+    /// Canonical fingerprints whose search stopped at `LEAF_CAP`.
+    fingerprint_capped: Counter,
 }
 
 /// Every opcode label, in wire order — the per-opcode latency family
@@ -523,6 +525,10 @@ impl Metrics {
             history_samples: r.counter(
                 "cqcount_history_samples_total",
                 "Metrics-history samples recorded.",
+            ),
+            fingerprint_capped: r.counter(
+                "cqcount_fingerprint_capped_total",
+                "Canonical fingerprints whose labeling search stopped at its leaf cap.",
             ),
             registry: r,
         }
@@ -1796,6 +1802,19 @@ pub(crate) fn lookup_db(shared: &Shared, name: &str) -> Result<Arc<DbState>, Box
         })
 }
 
+/// The canonical fingerprint of `q`, under its own `server.fingerprint`
+/// span (tagged with the search's leaf count and whether it hit the cap).
+fn canonicalize(shared: &Shared, q: &ConjunctiveQuery) -> QueryFingerprint {
+    let sp = trace::span("server.fingerprint");
+    let (fp, stats) = fingerprint_with_stats(q);
+    sp.add("leaves", stats.leaves as u64);
+    sp.tag("capped", if stats.capped { "true" } else { "false" });
+    if stats.capped {
+        shared.metrics.fingerprint_capped.inc();
+    }
+    fp
+}
+
 fn run_count(
     shared: &Shared,
     db_name: &str,
@@ -1814,7 +1833,7 @@ fn run_count(
             }
         }
     };
-    let fp = fingerprint(&q);
+    let fp = canonicalize(shared, &q);
     drop(parse_sp);
     // Install the level-0 mapping so the reactor's fast path can answer
     // this exact text without parsing next time.
@@ -1966,6 +1985,7 @@ fn run_enumerate(
 }
 
 fn run_width_report(shared: &Shared, query: &str, cap: u64) -> Response {
+    let parse_sp = trace::span("server.parse");
     let q = match parse_query(query) {
         Ok(q) => q,
         Err(e) => {
@@ -1981,7 +2001,8 @@ fn run_width_report(shared: &Shared, query: &str, cap: u64) -> Response {
     } else {
         cap as usize
     };
-    let fp = fingerprint(&q);
+    let fp = canonicalize(shared, &q);
+    drop(parse_sp);
     shared.fingerprints.insert(
         query.to_owned(),
         Arc::new(Fingerprinted {

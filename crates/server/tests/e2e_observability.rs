@@ -156,6 +156,52 @@ fn profile_returns_the_span_tree_of_a_cold_count() {
 }
 
 #[test]
+fn fingerprint_span_reports_leaves_and_cap_trips() {
+    let handle = start(ServerConfig::default());
+    let mut c = connect(&handle);
+    let fingerprint_span = |root: &SpanNode| {
+        let parse = find_span(root, "server.parse").expect("server.parse span");
+        let sp = find_span(parse, "server.fingerprint")
+            .expect("server.fingerprint must sit under server.parse")
+            .clone();
+        let leaves = sp
+            .counters
+            .iter()
+            .find(|(k, _)| k == "leaves")
+            .map(|(_, v)| *v);
+        let capped = sp
+            .tags
+            .iter()
+            .find(|(k, _)| k == "capped")
+            .map(|(_, v)| v.clone());
+        (leaves, capped)
+    };
+
+    // Three distinct relations: refinement is discrete, one leaf.
+    let r = c.profile("main", CYCLE_Q, 0).unwrap();
+    assert_eq!(fingerprint_span(&r.root), (Some(1), Some("false".into())));
+
+    // Six disjoint directed triangles over one relation: all 18 variables
+    // alike, no two interchangeable, so the search runs into its cap.
+    let atoms: Vec<String> = (0..6)
+        .flat_map(|t| (0..3).map(move |k| format!("e(V{t}_{k}, V{t}_{})", (k + 1) % 3)))
+        .collect();
+    let sym = format!("ans() :- {}.", atoms.join(", "));
+    let r = c.profile("main", &sym, 0).unwrap();
+    assert_eq!(r.value, "0", "`main` has no `e` tuples");
+    let cap = cqcount_query::fingerprint::LEAF_CAP as u64;
+    assert_eq!(fingerprint_span(&r.root), (Some(cap), Some("true".into())));
+    let text = c.metrics().unwrap();
+    assert!(
+        text.lines()
+            .any(|l| l == "cqcount_fingerprint_capped_total 1"),
+        "one cap trip must be counted:\n{text}"
+    );
+
+    handle.shutdown();
+}
+
+#[test]
 fn a_small_cold_count_never_enters_the_pool() {
     // 16 edges i → i+2 and i → i+3 over Z_8. A triangle takes one step of
     // 2 and two of 3 (2 + 3 + 3 = 8), so it closes from every start vertex
