@@ -33,16 +33,34 @@
 //! **Maintainable shape.** A query qualifies iff it is *full* (every
 //! variable occurring in the body is free — projections break the
 //! per-tuple delta mapping), every atom binds at least one variable, and
-//! the atoms' column sets admit a join forest (α-acyclicity).
-//! [`MaterializedCount::build`] returns `None` otherwise; the serving
-//! layer's fallback ladder degrades to targeted cache invalidation,
-//! never a wrong count.
+//! the atoms' variable sets admit a join forest (α-acyclicity).
+//! [`MaterializedCount::maintainable`] decides this from the query alone,
+//! and [`MaterializedCount::build`] returns `None` otherwise before it
+//! scans anything; the serving layer's fallback ladder degrades to
+//! targeted cache invalidation, never a wrong count.
 
 use cqcount_arith::Natural;
-use cqcount_hypergraph::{join_forest, Hypergraph};
+use cqcount_hypergraph::{join_forest, Hypergraph, JoinForest};
 use cqcount_query::canonical::atom_bindings;
 use cqcount_query::{ConjunctiveQuery, Term};
 use cqcount_relational::{Bindings, Col, Database, FxHashMap, FxHashSet, Tuple, Value};
+
+/// The join forest over `q`'s atoms (vertex `i` is atom `i`) when `q` is
+/// full and non-empty, every atom binds a variable, and the atoms'
+/// variable sets are α-acyclic; `None` otherwise.
+fn maintainable_forest(q: &ConjunctiveQuery) -> Option<JoinForest> {
+    if q.atoms().is_empty() || q.free() != q.vars_in_atoms() {
+        return None;
+    }
+    if q.atoms().iter().any(|a| a.vars().is_empty()) {
+        return None;
+    }
+    let mut h = Hypergraph::new();
+    for a in q.atoms() {
+        h.add_edge(a.vars().iter().map(|v| v.node()).collect());
+    }
+    join_forest(&h)
+}
 
 /// What a single [`MaterializedCount::apply_delta`] did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -139,22 +157,19 @@ pub struct MaterializedCount {
 }
 
 impl MaterializedCount {
+    /// Is `q` delta-maintainable? Decided from the query alone, without
+    /// touching any data: [`MaterializedCount::build`] succeeds on every
+    /// database exactly when this holds.
+    pub fn maintainable(q: &ConjunctiveQuery) -> bool {
+        maintainable_forest(q).is_some()
+    }
+
     /// Builds the materialized DP for `q` over `db`, or `None` when the
     /// query is not delta-maintainable (not full, a variable-free atom,
-    /// or a cyclic atom hypergraph).
+    /// or a cyclic atom hypergraph) — refused before any scan.
     pub fn build(q: &ConjunctiveQuery, db: &Database) -> Option<MaterializedCount> {
-        if q.atoms().is_empty() || q.free() != q.vars_in_atoms() {
-            return None;
-        }
-        if q.atoms().iter().any(|a| a.vars().is_empty()) {
-            return None;
-        }
+        let forest = maintainable_forest(q)?;
         let views: Vec<Bindings> = q.atoms().iter().map(|a| atom_bindings(a, db)).collect();
-        let mut h = Hypergraph::new();
-        for v in &views {
-            h.add_edge(v.cols().iter().copied().collect());
-        }
-        let forest = join_forest(&h)?;
 
         // Static pattern info per atom.
         let mut vertices: Vec<Vertex> = Vec::with_capacity(views.len());
@@ -487,6 +502,59 @@ mod tests {
         // Variable-free atom.
         let (db, q) = load("r(a). s(b).\nans(X) :- r(X), s(b).");
         assert!(MaterializedCount::build(&q, &db).is_none());
+    }
+
+    /// The query-only shape check agrees with `build` on every query of
+    /// the corpus: Q0's 511 heads, the chain heads, the cycles and the
+    /// edge shapes (constants, repeated variables, nullary and
+    /// variable-free atoms, an empty body).
+    #[test]
+    fn maintainable_agrees_with_build() {
+        use cqcount_query::parser::{parse_database, parse_query};
+        let db = parse_database(include_str!("../../server/fixtures/example11.cq")).unwrap();
+        let agree = |q: &ConjunctiveQuery| {
+            let built = MaterializedCount::build(q, &db).is_some();
+            assert_eq!(MaterializedCount::maintainable(q), built, "{q}");
+            built
+        };
+
+        const BODY: &str = "mw(A, B, I), wt(B, D), wi(B, E), pt(C, D), \
+                            st(D, F), st(D, G), rr(G, H), rr(F, H), rr(D, H)";
+        const VARS: [&str; 9] = ["A", "B", "C", "D", "E", "F", "G", "H", "I"];
+        for mask in 1u32..1 << VARS.len() {
+            let head: Vec<&str> = (0..VARS.len())
+                .filter(|i| mask >> i & 1 == 1)
+                .map(|i| VARS[i])
+                .collect();
+            let q = parse_query(&format!("ans({}) :- {BODY}.", head.join(", "))).unwrap();
+            // Q0's body is cyclic (st(D, F), rr(F, H), rr(D, H)).
+            assert!(!agree(&q), "head {head:?}");
+        }
+
+        let chain = "r(A, B), s(B, C), t(C)";
+        for head in ["A, B, C", "A", "B", "C", "A, C"] {
+            let q = parse_query(&format!("ans({head}) :- {chain}.")).unwrap();
+            assert_eq!(agree(&q), head == "A, B, C", "head {head}");
+        }
+
+        for (text, maintainable) in [
+            ("ans(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).", false),
+            (
+                "ans(A, B, C, D) :- e(A, B), e(B, C), e(C, D), e(D, A).",
+                false,
+            ),
+            ("ans(X, Y) :- mw(m1, X, Y), wt(X, t1).", true),
+            ("ans(X) :- mw(X, X, X).", true),
+            ("ans(X, Y) :- rr(X, X), st(X, Y), rr(Y, Y).", true),
+            ("ans(X) :- wt(X, t1), p().", false),
+            ("ans() :- p().", false),
+            ("ans(X) :- wt(X, t1), pt(p1, t1).", false),
+            ("ans() :- pt(p1, t1).", false),
+        ] {
+            let q = parse_query(text).unwrap();
+            assert_eq!(agree(&q), maintainable, "{text}");
+        }
+        assert!(!agree(&ConjunctiveQuery::new()), "empty body");
     }
 
     #[test]

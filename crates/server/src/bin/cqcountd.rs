@@ -23,9 +23,11 @@
 //! and a fixed seed, two runs of the same workload produce structurally
 //! identical logs.
 //!
-//! `--materialize-cap N` bounds how many queries keep a live materialized
-//! count maintained incrementally across `INSERT`/`DELETE` (default 32;
-//! `0` disables materialization, mutations then invalidate only).
+//! `--materialize-cap N` bounds how many queries are registered for
+//! incremental maintenance across `INSERT`/`DELETE` (default 32; `0`
+//! disables materialization, mutations then invalidate only). A count
+//! registers its query; the first mutation that touches the query builds
+//! the maintained state, and that mutation's reply pays for the build.
 //!
 //! `--data-dir DIR` makes mutations durable: every effective batch is
 //! appended to a per-database write-ahead log before it is acknowledged,

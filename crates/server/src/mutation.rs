@@ -10,13 +10,16 @@
 //!   `mutation_seq` once per *effective* op (duplicate inserts and absent
 //!   deletes are no-ops).
 //! * **Materialized counts** ([`cqcount_delta::MaterializedCount`]) pin a
-//!   full acyclic query's join-tree DP state; the count path registers one
-//!   per cold count (bounded FIFO registry, [`MaterializedSet`]). Each
-//!   effective op is pushed through every live materialization that
-//!   mentions the touched relation — O(path × bag-width) per op instead
-//!   of a recount — and the refreshed counts are re-published into the
-//!   count cache, so the next `COUNT` of a maintained query is a warm hit
-//!   even though the data just changed.
+//!   full acyclic query's join-tree DP state. A fresh count of a
+//!   maintainable query only registers a *pending* entry (bounded FIFO
+//!   registry, [`MaterializedSet`]); the first batch that touches one of
+//!   the query's relations builds the state before its first op, so the
+//!   count reply never waits for a build and a query that is never
+//!   mutated never pays for one. Each effective op is then pushed through
+//!   every built materialization that mentions the touched relation —
+//!   O(path × bag-width) per op instead of a recount — and the refreshed
+//!   counts are re-published into the count cache, so the next `COUNT` of
+//!   a maintained query is a warm hit even though the data just changed.
 //! * **The count cache** is swept *surgically*
 //!   ([`crate::cache::CountCache::invalidate_relations`]): only entries
 //!   whose query mentions a touched relation die. Counts over untouched
@@ -27,12 +30,13 @@
 //! is dropped and counted in `cqcount_delta_fallbacks_total`; its cache
 //! entry was already invalidated by the sweep, so the next count simply
 //! runs cold. Queries that are not maintainable (cyclic, projections,
-//! constants-only atoms) are never materialized and always take the sweep
+//! constants-only atoms) are never registered and always take the sweep
 //! path. A reload still bumps the epoch and eagerly purges both the dead
-//! cache entries and the database's materializations.
+//! cache entries and the database's materializations, pending or built.
 //!
 //! Locking: the batch runs entirely under the database's write lock —
-//! including the cache sweep and re-publish — while count workers insert
+//! including the pending builds, the cache sweep and re-publish (the
+//! builds outside the registry's mutex) — while count workers insert
 //! into the cache under the same database's *read* lock. The exclusion
 //! means a cached count was either computed before the mutation (then the
 //! sweep saw it) or after (then it read post-mutation data); a stale
@@ -48,31 +52,47 @@ use cqcount_relational::{Database, Value};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
-/// One pinned materialization: a query's join-tree DP state over a
-/// database at a specific epoch.
+/// One registered materialization: a query over a database at a specific
+/// epoch, pending until the first mutation that touches it builds its
+/// join-tree DP state.
 pub(crate) struct Materialized {
     /// Canonical query text (the count-cache key's query component).
     pub(crate) canonical: String,
     /// Database name.
     pub(crate) db: String,
-    /// Epoch the materialization was built under; a reload orphans it.
+    /// Epoch the entry was registered under; a reload orphans it.
     pub(crate) epoch: u64,
-    /// The maintained DP state.
-    pub(crate) mc: MaterializedCount,
+    /// The query, kept so the state can be built when it is first needed.
+    pub(crate) q: ConjunctiveQuery,
+    /// The maintained DP state; `None` while pending.
+    pub(crate) mc: Option<MaterializedCount>,
 }
 
-/// A bounded FIFO registry of live materializations. Small by design:
-/// each entry pins O(total view rows) of memory, so the registry keeps
-/// the most recently materialized queries and lets old ones age out —
-/// an evicted query is still correct, it just recounts cold after the
-/// next mutation instead of being patched.
+impl Materialized {
+    /// Is this an entry of `db_name` at `epoch`?
+    fn of(&self, db_name: &str, epoch: u64) -> bool {
+        self.epoch == epoch && self.db == db_name
+    }
+
+    /// Does the query mention `rel`? Mutations to other relations cannot
+    /// move its count.
+    fn mentions(&self, rel: &str) -> bool {
+        self.q.atoms().iter().any(|a| a.rel == rel)
+    }
+}
+
+/// A bounded FIFO registry of materializations, pending or built. Small
+/// by design: each built entry pins O(total view rows) of memory, so the
+/// registry keeps the most recently counted queries and lets old ones age
+/// out — an evicted query is still correct, it just recounts cold after
+/// the next mutation instead of being patched.
 pub(crate) struct MaterializedSet {
     cap: usize,
     entries: Mutex<VecDeque<Materialized>>,
 }
 
 impl MaterializedSet {
-    /// A registry pinning at most `cap` materializations (`0` disables
+    /// A registry holding at most `cap` entries (`0` disables
     /// materialization entirely; mutations then invalidate only).
     pub(crate) fn new(cap: usize) -> MaterializedSet {
         MaterializedSet {
@@ -81,16 +101,16 @@ impl MaterializedSet {
         }
     }
 
-    /// Is `(canonical, db)` already pinned at `epoch`?
+    /// Is `(canonical, db)` already registered at `epoch`?
     pub(crate) fn contains(&self, canonical: &str, db: &str, epoch: u64) -> bool {
         self.entries
             .lock()
             .unwrap()
             .iter()
-            .any(|m| m.epoch == epoch && m.db == db && m.canonical == canonical)
+            .any(|m| m.of(db, epoch) && m.canonical == canonical)
     }
 
-    /// Pins a materialization, replacing any previous entry for the same
+    /// Registers an entry, replacing any previous entry for the same
     /// `(canonical, db)` and evicting FIFO beyond the cap.
     pub(crate) fn register(&self, m: Materialized) {
         if self.cap == 0 {
@@ -104,12 +124,12 @@ impl MaterializedSet {
         }
     }
 
-    /// Drops every materialization (FLUSH).
+    /// Drops every entry (FLUSH).
     pub(crate) fn clear(&self) {
         self.entries.lock().unwrap().clear();
     }
 
-    /// Drops materializations of `db` built under an epoch older than
+    /// Drops entries of `db` registered under an epoch older than
     /// `current` (RELOAD).
     pub(crate) fn purge_epochs_below(&self, db: &str, current: u64) {
         self.entries
@@ -127,35 +147,70 @@ pub(crate) fn query_relations(q: &ConjunctiveQuery) -> Vec<String> {
 }
 
 /// Called by the count path after computing a fresh (non-degraded) count:
-/// pins a materialization when the query is maintainable and none is
-/// already live for `(canonical, db)` at this epoch. The caller holds the
-/// database read lock, so the DP state is built against exactly the data
-/// the count saw.
+/// registers a *pending* entry when the query is maintainable and none is
+/// registered yet for `(canonical, db)` at this epoch. It reads no data —
+/// the DP state is built by the first mutation batch that touches one of
+/// the query's relations ([`run_mutation`]), so a query that is never
+/// mutated never pays for it.
 pub(crate) fn maybe_materialize(
     shared: &Shared,
     q: &ConjunctiveQuery,
-    db: &Database,
     canonical: &str,
     db_name: &str,
     epoch: u64,
 ) {
-    if shared.config.materialize_cap == 0 || shared.materialized.contains(canonical, db_name, epoch)
+    if shared.config.materialize_cap == 0
+        || !MaterializedCount::maintainable(q)
+        || shared.materialized.contains(canonical, db_name, epoch)
     {
         return;
     }
-    let sp = trace::span("mutate.materialize");
-    let Some(mc) = MaterializedCount::build(q, db) else {
-        sp.tag("outcome", "not_maintainable");
-        return;
-    };
-    sp.tag("outcome", "pinned");
-    sp.add("pinned_rows", mc.pinned_rows() as u64);
     shared.materialized.register(Materialized {
         canonical: canonical.to_owned(),
         db: db_name.to_owned(),
         epoch,
-        mc,
+        q: q.clone(),
+        mc: None,
     });
+}
+
+/// Builds every pending entry of `db_name` at `epoch` whose query
+/// mentions a relation of `ops`. The caller holds the database write lock
+/// and has applied none of the batch yet, so each state mirrors the
+/// database just before the batch — what `apply_delta` assumes. The
+/// builds run outside the registry's mutex, so counts on other databases
+/// never wait behind them; an entry that a FLUSH, a reload or FIFO
+/// eviction dropped meanwhile simply discards its state.
+fn build_pending(shared: &Shared, db: &Database, db_name: &str, epoch: u64, ops: &[MutationOp]) {
+    let pending: Vec<(String, ConjunctiveQuery)> = shared
+        .materialized
+        .entries
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|m| m.mc.is_none() && m.of(db_name, epoch))
+        .filter(|m| ops.iter().any(|op| m.mentions(&op.rel)))
+        .map(|m| (m.canonical.clone(), m.q.clone()))
+        .collect();
+    for (canonical, q) in pending {
+        let sp = trace::span("mutate.materialize");
+        let mut mc = MaterializedCount::build(&q, db);
+        if let Some(mc) = &mc {
+            sp.add("pinned_rows", mc.pinned_rows() as u64);
+            shared.metrics.delta_builds.inc();
+        }
+        drop(sp);
+        let mut entries = shared.materialized.entries.lock().unwrap();
+        // `maybe_materialize` registers maintainable queries only, so a
+        // refusal here is unreachable; dropping the entry keeps it honest.
+        entries.retain_mut(|m| {
+            if m.mc.is_some() || !m.of(db_name, epoch) || m.canonical != canonical {
+                return true;
+            }
+            m.mc = mc.take();
+            m.mc.is_some()
+        });
+    }
 }
 
 /// Converts a single-op request into the batch form `run_mutation` takes.
@@ -219,6 +274,7 @@ pub(crate) fn run_mutation(shared: &Shared, db_name: &str, ops: &[MutationOp]) -
         }
     }
     let seq_before = db.mutation_seq();
+    build_pending(shared, &db, db_name, state.epoch, ops);
 
     let mut changed = 0u64;
     let mut bags_touched = 0u64;
@@ -416,10 +472,13 @@ fn patch_materializations(
     let mut entries = shared.materialized.entries.lock().unwrap();
     let mut bags = 0u64;
     entries.retain_mut(|m| {
-        if m.db != db_name || m.epoch != epoch || !m.mc.mentions(&op.rel) {
+        if !m.of(db_name, epoch) {
             return true;
         }
-        match m.mc.apply_delta(db, &op.rel, tuple, op.insert) {
+        let Some(mc) = m.mc.as_mut().filter(|mc| mc.mentions(&op.rel)) else {
+            return true;
+        };
+        match mc.apply_delta(db, &op.rel, tuple, op.insert) {
             Ok(outcome) => {
                 bags += outcome.bags_touched;
                 true
@@ -441,15 +500,15 @@ fn republish_counts(shared: &Shared, db_name: &str, epoch: u64, touched: &BTreeS
     let entries = shared.materialized.entries.lock().unwrap();
     let mut published = 0u64;
     for m in entries.iter() {
-        if m.db != db_name || m.epoch != epoch || !touched.iter().any(|r| m.mc.mentions(r)) {
+        let Some(mc) = &m.mc else { continue };
+        if !m.of(db_name, epoch) || !touched.iter().any(|r| mc.mentions(r)) {
             continue;
         }
         shared.counts.insert(
             (m.canonical.clone(), db_name.to_owned(), epoch),
             Arc::new(CountInfo {
-                value: m.mc.count(),
-                rels: m
-                    .mc
+                value: mc.count(),
+                rels: mc
                     .relations()
                     .map(str::to_owned)
                     .collect::<BTreeSet<_>>()

@@ -116,9 +116,10 @@ pub struct ServerConfig {
     /// When set, every counting request is traced and its span tree is
     /// appended to this file as one JSON line (`--trace-log`).
     pub trace_log: Option<std::path::PathBuf>,
-    /// Most materialized counts kept live for incremental maintenance
-    /// (see [`crate::mutation`]); `0` disables materialization, so
-    /// mutations only invalidate.
+    /// Most queries registered for incremental maintenance, pending or
+    /// built (see [`crate::mutation`]): a count registers its query, and
+    /// the first mutation that touches it builds the state. `0` disables
+    /// materialization, so mutations only invalidate.
     pub materialize_cap: usize,
     /// Durable root (`--data-dir`). `None` (the default) keeps the v6
     /// in-memory behavior: no WAL, no snapshots, no recovery.
@@ -286,6 +287,9 @@ pub(crate) struct Metrics {
     /// Mutations that dropped a materialization and fell back to
     /// targeted invalidation.
     pub(crate) delta_fallbacks: Counter,
+    /// Materializations built (each by the first mutation batch that
+    /// touched its query).
+    pub(crate) delta_builds: Counter,
     /// WAL records appended (one per effective mutation batch).
     pub(crate) wal_records: Counter,
     /// Bytes appended to WALs.
@@ -467,6 +471,10 @@ impl Metrics {
             delta_fallbacks: r.counter(
                 "cqcount_delta_fallbacks_total",
                 "Materializations dropped mid-mutation (fell back to cache invalidation).",
+            ),
+            delta_builds: r.counter(
+                "cqcount_delta_builds_total",
+                "Materializations built by the first mutation that touched their query.",
             ),
             wal_records: r.counter(
                 "cqcount_wal_records_total",
@@ -652,7 +660,8 @@ pub(crate) struct Shared {
     /// warm hit never parses.
     pub(crate) fingerprints: FingerprintCache,
     pub(crate) metrics: Metrics,
-    /// Live materialized counts, patched in place by mutations.
+    /// Registered materializations, built by the first mutation that
+    /// touches them and then patched in place.
     pub(crate) materialized: crate::mutation::MaterializedSet,
     pub(crate) injector: Option<Arc<FaultInjector>>,
     /// Durable root (`--data-dir`): WAL + snapshot configuration shared
@@ -1445,7 +1454,7 @@ fn fast_traced(
 }
 
 /// Ops that run on workers (as opposed to inline admin ops). Mutations
-/// are worker ops: they take the database write lock and patch
+/// are worker ops: they take the database write lock and build and patch
 /// materializations, which must never stall a reactor shard.
 pub(crate) fn counting_op(r: &Request) -> bool {
     matches!(
@@ -1886,7 +1895,7 @@ fn run_count(
                 }),
             );
             if !degraded {
-                crate::mutation::maybe_materialize(shared, &q, &db, &fp.text, db_name, state.epoch);
+                crate::mutation::maybe_materialize(shared, &q, &fp.text, db_name, state.epoch);
             }
             let plan_label = match plan {
                 cqcount_core::Plan::SharpPipeline { width } => {

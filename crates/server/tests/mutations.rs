@@ -15,8 +15,10 @@ use cqcount_core::count_brute_force;
 use cqcount_query::{parse_database, parse_program, ConjunctiveQuery};
 use cqcount_relational::Database;
 use cqcount_server::faults::FaultProfile;
-use cqcount_server::protocol::CacheTier;
-use cqcount_server::{serve, Client, ClientError, ClientOptions, ServerConfig, ServerHandle};
+use cqcount_server::protocol::{CacheTier, ErrorCode, MutationOp};
+use cqcount_server::{
+    serve, Client, ClientError, ClientOptions, DurabilityPolicy, ServerConfig, ServerHandle,
+};
 
 /// Ops per stream: the acceptance criterion's 1k under `exhaustive-tests`,
 /// a fast-but-representative prefix in tier-1.
@@ -36,6 +38,24 @@ fn start(config: ServerConfig, facts: &str) -> ServerHandle {
 fn parse_query(facts: &str, query: &str) -> ConjunctiveQuery {
     let (q, _) = parse_program(&format!("{facts}\n{query}")).unwrap();
     q.unwrap()
+}
+
+/// `cqcount_delta_builds_total` from the server's metrics exposition.
+fn delta_builds(client: &mut Client) -> u64 {
+    let text = client.metrics().unwrap();
+    text.lines()
+        .find_map(|l| l.strip_prefix("cqcount_delta_builds_total "))
+        .expect("cqcount_delta_builds_total in METRICS")
+        .parse()
+        .unwrap()
+}
+
+fn op(insert: bool, rel: &str, values: &[&str]) -> MutationOp {
+    MutationOp {
+        insert,
+        rel: rel.into(),
+        values: values.iter().map(|v| (*v).to_owned()).collect(),
+    }
 }
 
 /// One relation schema in a random stream: name, arity, and the value
@@ -88,11 +108,11 @@ fn random_op(
     local
 }
 
-/// Acyclic stream: the query is full and α-acyclic, so the server pins a
-/// materialization after the first cold count and every mutation patches
-/// it along the bag path. From the second count on, every count must be
-/// a cache hit (the republished maintained count) *and* exactly equal the
-/// brute-force recount of the mirror.
+/// Acyclic stream: the query is full and α-acyclic, so the first cold
+/// count registers it, the first mutation builds its materialization, and
+/// every mutation patches it along the bag path. From the second count
+/// on, every count must be a cache hit (the republished maintained count)
+/// *and* exactly equal the brute-force recount of the mirror.
 #[test]
 fn acyclic_mutation_stream_keeps_counts_exact_and_warm() {
     let facts = "r(v0, v1). r(v1, v2). s(v1, v0). s(v2, v2). t(v2). t(v0).";
@@ -120,7 +140,7 @@ fn acyclic_mutation_stream_keeps_counts_exact_and_warm() {
         },
     ];
 
-    // The first count is cold and pins the materialization.
+    // The first count is cold and registers the query for maintenance.
     let first = client.count("main", query, 0).unwrap();
     assert_eq!(first.cached, CacheTier::Cold);
     assert_eq!(first.value, count_brute_force(&q, &mirror).to_string());
@@ -424,4 +444,150 @@ fn chaos_mutation_stream_replays_exactly_with_zero_wrong_counts() {
     assert_eq!(outcomes_a, outcomes_b, "chaos outcomes must replay exactly");
     assert_eq!(events_a, events_b, "fault events must replay exactly");
     assert!(!events_a.is_empty(), "the chaos profile never bit");
+}
+
+const LAZY_FACTS: &str = "r(a, b). r(b, c). s(b, c). s(c, c). t(c). u(a).";
+const LAZY_QUERY: &str = "ans(A, B, C) :- r(A, B), s(B, C), t(C).";
+
+/// Counting a maintainable query builds nothing; the first mutation of
+/// one of its relations builds its state exactly once, and the recount
+/// after it is the patched count. Mutating an unrelated relation builds
+/// nothing.
+#[test]
+fn first_touching_mutation_builds_the_materialization_once() {
+    let handle = start(ServerConfig::default(), LAZY_FACTS);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let mut mirror = parse_database(LAZY_FACTS).unwrap();
+    let q = parse_query(LAZY_FACTS, LAZY_QUERY);
+
+    let cold = client.count("main", LAZY_QUERY, 0).unwrap();
+    assert_eq!(cold.cached, CacheTier::Cold);
+    assert_eq!(cold.value, count_brute_force(&q, &mirror).to_string());
+    assert_eq!(delta_builds(&mut client), 0, "a cold count built a state");
+
+    // `u` is not in the query: nothing to build, the count stays warm.
+    assert_eq!(client.insert("main", "u", &["b"]).unwrap().changed, 1);
+    mirror.insert_tuple("u", &["b"]).unwrap();
+    assert_eq!(delta_builds(&mut client), 0, "an unrelated mutation built");
+    let reply = client.count("main", LAZY_QUERY, 0).unwrap();
+    assert_eq!(reply.cached, CacheTier::CountWarm);
+    assert_eq!(reply.value, count_brute_force(&q, &mirror).to_string());
+
+    // The first mutation of `t` builds, then patches.
+    assert_eq!(client.insert("main", "t", &["b"]).unwrap().changed, 1);
+    mirror.insert_tuple("t", &["b"]).unwrap();
+    assert_eq!(delta_builds(&mut client), 1);
+    let reply = client.count("main", LAZY_QUERY, 0).unwrap();
+    assert_eq!(reply.cached, CacheTier::CountWarm);
+    assert_eq!(reply.value, count_brute_force(&q, &mirror).to_string());
+    assert!(client.stats().unwrap().delta_bags_touched > 0);
+
+    // Later mutations patch the built state; nothing is rebuilt.
+    for (rel, values) in [("s", ["c", "b"]), ("r", ["c", "b"])] {
+        assert_eq!(client.insert("main", rel, &values).unwrap().changed, 1);
+        mirror.insert_tuple(rel, &values).unwrap();
+        let reply = client.count("main", LAZY_QUERY, 0).unwrap();
+        assert_eq!(reply.cached, CacheTier::CountWarm);
+        assert_eq!(reply.value, count_brute_force(&q, &mirror).to_string());
+    }
+    assert_eq!(delta_builds(&mut client), 1);
+    assert_eq!(client.stats().unwrap().delta_fallbacks, 0);
+    handle.shutdown();
+}
+
+/// A batch whose first op is unrelated and whose second touches the
+/// query: the state is built before the batch's first op, so the second
+/// op's delta lands on it and the count stays exact.
+#[test]
+fn batch_of_unrelated_then_touching_op_stays_exact() {
+    let handle = start(ServerConfig::default(), LAZY_FACTS);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let mut mirror = parse_database(LAZY_FACTS).unwrap();
+    let q = parse_query(LAZY_FACTS, LAZY_QUERY);
+
+    client.count("main", LAZY_QUERY, 0).unwrap();
+    let receipt = client
+        .mutate(
+            "main",
+            vec![op(true, "u", &["c"]), op(true, "s", &["a", "c"])],
+        )
+        .unwrap();
+    assert_eq!(receipt.changed, 2);
+    mirror.insert_tuple("u", &["c"]).unwrap();
+    mirror.insert_tuple("s", &["a", "c"]).unwrap();
+    assert_eq!(delta_builds(&mut client), 1);
+    let reply = client.count("main", LAZY_QUERY, 0).unwrap();
+    assert_eq!(reply.cached, CacheTier::CountWarm);
+    assert_eq!(reply.value, count_brute_force(&q, &mirror).to_string());
+    handle.shutdown();
+}
+
+/// A batch that builds the state and then fails its WAL append rolls
+/// back through the built state: the reply is `ReadOnly` and the next
+/// count is the pre-batch count.
+#[test]
+fn wal_failure_after_the_build_rolls_back_to_the_pre_batch_count() {
+    let dir = std::env::temp_dir().join(format!("cqmut_lazywal_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = ServerConfig {
+        data_dir: Some(dir.clone()),
+        durability: DurabilityPolicy::Always,
+        wal_fail_after: Some(0),
+        ..ServerConfig::default()
+    };
+    let handle = start(config, LAZY_FACTS);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let mirror = parse_database(LAZY_FACTS).unwrap();
+    let q = parse_query(LAZY_FACTS, LAZY_QUERY);
+    let before = count_brute_force(&q, &mirror).to_string();
+
+    assert_eq!(client.count("main", LAZY_QUERY, 0).unwrap().value, before);
+    let err = client
+        .mutate(
+            "main",
+            vec![op(true, "t", &["b"]), op(false, "r", &["a", "b"])],
+        )
+        .unwrap_err();
+    match err {
+        ClientError::Server { code, message, .. } => {
+            assert_eq!(code, ErrorCode::ReadOnly, "{message}")
+        }
+        other => panic!("expected a server error, got {other}"),
+    }
+    assert_eq!(delta_builds(&mut client), 1);
+    let reply = client.count("main", LAZY_QUERY, 0).unwrap();
+    assert_eq!(reply.value, before, "the rolled-back batch moved the count");
+    assert_eq!(client.stats().unwrap().delta_fallbacks, 0);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A RELOAD or FLUSH between the count and the mutation drops the pending
+/// entry, so the mutation has nothing to build.
+#[test]
+fn reload_or_flush_before_the_mutation_leaves_nothing_to_build() {
+    let handle = start(ServerConfig::default(), LAZY_FACTS);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let mut mirror = parse_database(LAZY_FACTS).unwrap();
+    let q = parse_query(LAZY_FACTS, LAZY_QUERY);
+
+    client.count("main", LAZY_QUERY, 0).unwrap();
+    client.flush().unwrap();
+    assert_eq!(client.insert("main", "t", &["b"]).unwrap().changed, 1);
+    mirror.insert_tuple("t", &["b"]).unwrap();
+    assert_eq!(delta_builds(&mut client), 0, "FLUSH left an entry");
+
+    client.count("main", LAZY_QUERY, 0).unwrap();
+    client.reload("main", LAZY_FACTS).unwrap();
+    let mut mirror = parse_database(LAZY_FACTS).unwrap();
+    assert_eq!(client.insert("main", "t", &["b"]).unwrap().changed, 1);
+    mirror.insert_tuple("t", &["b"]).unwrap();
+    assert_eq!(delta_builds(&mut client), 0, "RELOAD left an entry");
+
+    // Neither was maintained, so the recount runs under the cached plan.
+    let reply = client.count("main", LAZY_QUERY, 0).unwrap();
+    assert_eq!(reply.cached, CacheTier::PlanWarm);
+    assert_eq!(reply.value, count_brute_force(&q, &mirror).to_string());
+    handle.shutdown();
 }
