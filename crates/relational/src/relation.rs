@@ -82,8 +82,8 @@ fn probe(values: &[Value], arity: usize, slots: &[u32], tuple: &[Value]) -> usiz
 }
 
 /// Builds the open-addressed index over `len` (deduplicated) rows fetched
-/// through `row`. Shared by the heap growth path and the store writer, so
-/// a persisted index is bit-identical to a freshly grown one.
+/// through `row`, at the smallest power-of-two size that keeps the load
+/// under 7/8. The store writer persists exactly this table.
 pub(crate) fn build_slot_index<'a>(row: impl Fn(usize) -> &'a [Value], len: usize) -> Vec<u32> {
     if len == 0 {
         return Vec::new();
@@ -92,6 +92,13 @@ pub(crate) fn build_slot_index<'a>(row: impl Fn(usize) -> &'a [Value], len: usiz
     while len * 8 > cap * 7 {
         cap *= 2;
     }
+    fill_slots(row, len, cap)
+}
+
+/// A `cap`-slot table (a power of two) indexing rows `0..len` fetched
+/// through `row` — the one fill loop behind both [`build_slot_index`] and
+/// heap growth, so their tables agree slot for slot at equal sizes.
+fn fill_slots<'a>(row: impl Fn(usize) -> &'a [Value], len: usize, cap: usize) -> Vec<u32> {
     let mut slots = vec![EMPTY; cap];
     let mask = cap - 1;
     for n in 0..len {
@@ -224,15 +231,7 @@ impl Relation {
     /// re-indexes every stored tuple. Heap backing only.
     fn grow(values: &[Value], arity: usize, len: usize, slots: &mut Vec<u32>) {
         let cap = (slots.len() * 2).max(8);
-        *slots = vec![EMPTY; cap];
-        let mask = cap - 1;
-        for n in 0..len {
-            let mut i = hash_tuple(&values[n * arity..(n + 1) * arity]) as usize & mask;
-            while slots[i] != EMPTY {
-                i = (i + 1) & mask;
-            }
-            slots[i] = n as u32;
-        }
+        *slots = fill_slots(|n| &values[n * arity..(n + 1) * arity], len, cap);
     }
 
     /// Inserts a tuple; returns `true` if it was new. Panics on arity

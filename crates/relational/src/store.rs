@@ -120,7 +120,8 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// CRC-32 (IEEE, reflected) — byte-compatible with the WAL's checksum.
+/// CRC-32 (IEEE, reflected): the checksum of store pages and of the
+/// server's WAL records.
 pub fn crc32(bytes: &[u8]) -> u32 {
     const fn table() -> [u32; 256] {
         let mut t = [0u32; 256];

@@ -23,11 +23,12 @@
 //! and a fixed seed, two runs of the same workload produce structurally
 //! identical logs.
 //!
-//! `--materialize-cap N` bounds how many queries are registered for
-//! incremental maintenance across `INSERT`/`DELETE` (default 32; `0`
-//! disables materialization, mutations then invalidate only). A count
-//! registers its query; the first mutation that touches the query builds
-//! the maintained state, and that mutation's reply pays for the build.
+//! `--materialize-cap N` bounds how many cached counts hold a built
+//! incremental-maintenance state across `INSERT`/`DELETE` (default 32;
+//! `0` disables materialization, mutations then invalidate only). A
+//! count's cache entry carries its query; the first mutation that
+//! touches the query builds the maintained state, and that mutation's
+//! reply pays for the build. The state is evicted with its count.
 //!
 //! `--data-dir DIR` makes mutations durable: every effective batch is
 //! appended to a per-database write-ahead log before it is acknowledged,

@@ -20,9 +20,12 @@
 //!   out. Single-tuple mutations (`INSERT`/`DELETE`) do **not** bump the
 //!   epoch; each cached count carries the relation names its query
 //!   mentions ([`CountInfo::rels`]) and
-//!   [`CountCache::invalidate_relations`] surgically drops only the
+//!   [`CountCache::refresh_relations`] surgically sweeps only the
 //!   entries a mutated relation can affect — counts over untouched
-//!   relations stay warm.
+//!   relations stay warm, and a count whose entry carries a built
+//!   [`Maintenance`] state is refreshed in place instead of dropped. The
+//!   entry owns that state: FIFO eviction, the epoch purge and `FLUSH`
+//!   end it together with its count.
 //!
 //! Every level is a bounded FIFO map — eviction only needs to keep memory
 //! flat under adversarial key churn, not maximize hit rate, so the cheap
@@ -41,7 +44,9 @@
 
 use cqcount_arith::Natural;
 use cqcount_core::planner::{PreparedPlan, WidthReport};
+use cqcount_delta::MaterializedCount;
 use cqcount_obs::metrics::Counter;
+use cqcount_query::ConjunctiveQuery;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -108,7 +113,7 @@ impl<K: Hash + Eq + Clone, V> FifoMap<K, V> {
     /// Drops every entry failing the predicate, returning how many died.
     /// The FIFO order keeps only surviving keys, so later evictions stay
     /// exact.
-    fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> u64 {
+    fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) -> u64 {
         let before = self.map.len();
         self.map.retain(|k, v| keep(k, v));
         if self.map.len() != before {
@@ -120,6 +125,10 @@ impl<K: Hash + Eq + Clone, V> FifoMap<K, V> {
 
     fn len(&self) -> usize {
         self.map.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.map.iter()
     }
 }
 
@@ -192,11 +201,20 @@ impl<K: Hash + Eq + Clone, V> ShardedFifo<K, V> {
     /// Applies [`FifoMap::retain`] to every shard, returning the total
     /// number of entries dropped. One shard lock at a time — concurrent
     /// hits on other shards proceed.
-    fn retain(&self, mut keep: impl FnMut(&K, &V) -> bool) -> u64 {
+    fn retain(&self, mut keep: impl FnMut(&K, &mut V) -> bool) -> u64 {
         self.shards
             .iter()
             .map(|s| s.lock().unwrap().retain(&mut keep))
             .sum()
+    }
+
+    /// Visits every entry, one shard lock at a time.
+    fn for_each(&self, mut visit: impl FnMut(&K, &V)) {
+        for s in &self.shards {
+            for (k, v) in s.lock().unwrap().iter() {
+                visit(k, v);
+            }
+        }
     }
 
     fn len(&self) -> usize {
@@ -352,22 +370,49 @@ impl PlanCache {
 /// Level 2 key: canonical query text + database name + database epoch.
 pub type CountKey = (String, String, u64);
 
-/// Level 2 value: the exact count plus the invalidation scope.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A count entry's incremental-maintenance state (see [`crate::mutation`]).
+#[derive(Debug)]
+pub enum Maintenance {
+    /// Attached by a fresh count of a maintainable query; the first
+    /// mutation batch that touches one of its relations builds it.
+    Pending(ConjunctiveQuery),
+    /// The pinned join-tree DP state, patched by every effective op.
+    Built(MaterializedCount),
+}
+
+/// The shared handle to an entry's maintenance state, so a mutation batch
+/// can patch it without holding a cache lock. Emptied (`None`) when the
+/// state cannot absorb a delta.
+pub type MaintenanceSlot = Arc<Mutex<Option<Maintenance>>>;
+
+/// Level 2 value: the exact count, the invalidation scope, and the
+/// maintenance state that keeps the count fresh across mutations.
+#[derive(Debug, Clone)]
 pub struct CountInfo {
     /// The exact count.
     pub value: Natural,
     /// Relation names the query mentions, sorted + deduped. A mutation
     /// touching none of them cannot change `value`, so the entry
-    /// survives; a mutation touching any of them kills it (unless the
-    /// mutation itself re-publishes a maintained count).
+    /// survives; a mutation touching any of them kills it unless its
+    /// maintenance state is built and healthy.
     pub rels: Vec<String>,
+    /// Set on fresh counts of maintainable queries; `None` for counts
+    /// that mutations only invalidate.
+    pub maintenance: Option<MaintenanceSlot>,
 }
 
 impl CountInfo {
     /// Does the query behind this count mention `rel`?
     pub fn mentions(&self, rel: &str) -> bool {
         self.rels.binary_search_by(|r| r.as_str().cmp(rel)).is_ok()
+    }
+
+    /// Applies `f` to the entry's built state, if it holds one.
+    fn with_built<R>(&self, f: impl FnOnce(&MaterializedCount) -> R) -> Option<R> {
+        match &*self.maintenance.as_ref()?.lock().unwrap() {
+            Some(Maintenance::Built(mc)) => Some(f(mc)),
+            _ => None,
+        }
     }
 }
 
@@ -449,16 +494,51 @@ impl CountCache {
         dead
     }
 
-    /// Drops every entry for `db` at `epoch` whose query mentions any of
-    /// `rels` — the surgical sweep after a mutation. Entries for other
-    /// databases, other epochs, or queries over untouched relations
-    /// survive. Returns how many entries died.
-    pub fn invalidate_relations(&self, db: &str, epoch: u64, rels: &[String]) -> u64 {
-        let dead = self.inner.retain(|(_, d, e), info| {
-            d != db || *e != epoch || !rels.iter().any(|r| info.mentions(r))
+    /// The maintenance slots of `db`'s entries at `epoch` whose query
+    /// mentions any of `rels`, plus the number of built states the whole
+    /// cache holds (what `materialize_cap` bounds). One pass, one shard
+    /// lock at a time.
+    pub fn maintenance_slots(
+        &self,
+        db: &str,
+        epoch: u64,
+        rels: &[&str],
+    ) -> (Vec<MaintenanceSlot>, usize) {
+        let mut slots = Vec::new();
+        let mut built = 0;
+        self.inner.for_each(|(_, d, e), info| {
+            let Some(slot) = &info.maintenance else {
+                return;
+            };
+            built += usize::from(info.with_built(|_| ()).is_some());
+            if d == db && *e == epoch && rels.iter().any(|r| info.mentions(r)) {
+                slots.push(Arc::clone(slot));
+            }
         });
-        self.evictions.add(dead);
-        dead
+        (slots, built)
+    }
+
+    /// The sweep after a mutation: every entry for `db` at `epoch` whose
+    /// query mentions any of `rels` is refreshed in place from its built
+    /// maintenance state, or dropped when it has none (pending, emptied
+    /// by a fault, or never maintainable). Entries for other databases,
+    /// other epochs, or queries over untouched relations survive. Returns
+    /// `(refreshed, dropped)`; only drops count as evictions.
+    pub fn refresh_relations(&self, db: &str, epoch: u64, rels: &[String]) -> (u64, u64) {
+        let mut refreshed = 0;
+        let dropped = self.inner.retain(|(_, d, e), info| {
+            if d != db || *e != epoch || !rels.iter().any(|r| info.mentions(r)) {
+                return true;
+            }
+            let Some(value) = info.with_built(MaterializedCount::count) else {
+                return false;
+            };
+            Arc::make_mut(info).value = value;
+            refreshed += 1;
+            true
+        });
+        self.evictions.add(dropped);
+        (refreshed, dropped)
     }
 
     /// Drops every entry (counters survive).
@@ -509,6 +589,7 @@ mod tests {
         Arc::new(CountInfo {
             value: Natural::from(n),
             rels: rels.iter().map(|r| (*r).to_owned()).collect(),
+            maintenance: None,
         })
     }
 
@@ -648,7 +729,7 @@ mod tests {
             info_over(5, &["r"]),
         );
 
-        assert_eq!(c.invalidate_relations("db", 1, &["r".to_owned()]), 2);
+        assert_eq!(c.refresh_relations("db", 1, &["r".to_owned()]), (0, 2));
         assert!(c.get(&("q_r".into(), "db".into(), 1)).is_none());
         assert!(c.get(&("q_rs".into(), "db".into(), 1)).is_none());
         assert!(c.get(&("q_s".into(), "db".into(), 1)).is_some());
@@ -656,7 +737,60 @@ mod tests {
         assert!(c.get(&("q_r_other_db".into(), "db2".into(), 1)).is_some());
 
         // A sweep over a relation nobody mentions is a no-op.
-        assert_eq!(c.invalidate_relations("db", 1, &["zzz".to_owned()]), 0);
+        assert_eq!(c.refresh_relations("db", 1, &["zzz".to_owned()]), (0, 0));
+    }
+
+    #[test]
+    fn refresh_sweep_keeps_built_and_drops_pending_or_faulted() {
+        let db = cqcount_query::parse_database("r(a, b). r(b, c).").unwrap();
+        let q = parse_query("ans(X, Y) :- r(X, Y).").unwrap();
+        let slot = |m: Option<Maintenance>| -> MaintenanceSlot { Arc::new(Mutex::new(m)) };
+        let built = || {
+            Some(Maintenance::Built(
+                MaterializedCount::build(&q, &db).unwrap(),
+            ))
+        };
+        let with = |n: u64, m: MaintenanceSlot| {
+            Arc::new(CountInfo {
+                maintenance: Some(m),
+                ..(*info(n)).clone()
+            })
+        };
+        let c = CountCache::new(64);
+        let key = |name: &str, db: &str, epoch| (name.to_owned(), db.to_owned(), epoch);
+        // Stale values (9): only the sweep can correct the built one to 2.
+        c.insert(key("built", "db", 1), with(9, slot(built())));
+        c.insert(
+            key("pending", "db", 1),
+            with(9, slot(Some(Maintenance::Pending(q.clone())))),
+        );
+        c.insert(key("faulted", "db", 1), with(9, slot(None)));
+        c.insert(key("plain", "db", 1), info(9));
+        c.insert(key("built", "db", 2), with(9, slot(built())));
+        c.insert(key("built", "db2", 1), with(9, slot(built())));
+
+        let (slots, nbuilt) = c.maintenance_slots("db", 1, &["r"]);
+        assert_eq!(slots.len(), 3, "pending, built and faulted of db@1");
+        assert_eq!(nbuilt, 3, "built states across the whole cache");
+        assert!(c.maintenance_slots("db", 1, &["s"]).0.is_empty());
+
+        let evictions = c.evictions();
+        assert_eq!(c.refresh_relations("db", 1, &["r".to_owned()]), (1, 3));
+        assert_eq!(c.evictions(), evictions + 3, "refreshes are not evictions");
+        assert_eq!(
+            c.get(&key("built", "db", 1)).unwrap().value,
+            Natural::from(2u64)
+        );
+        for dead in ["pending", "faulted", "plain"] {
+            assert!(c.get(&key(dead, "db", 1)).is_none(), "{dead} survived");
+        }
+        // Other epochs and databases are untouched, stale values and all.
+        for (d, e) in [("db", 2), ("db2", 1)] {
+            assert_eq!(
+                c.get(&key("built", d, e)).unwrap().value,
+                Natural::from(9u64)
+            );
+        }
     }
 
     #[test]

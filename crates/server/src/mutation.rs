@@ -10,134 +10,50 @@
 //!   `mutation_seq` once per *effective* op (duplicate inserts and absent
 //!   deletes are no-ops).
 //! * **Materialized counts** ([`cqcount_delta::MaterializedCount`]) pin a
-//!   full acyclic query's join-tree DP state. A fresh count of a
-//!   maintainable query only registers a *pending* entry (bounded FIFO
-//!   registry, [`MaterializedSet`]); the first batch that touches one of
-//!   the query's relations builds the state before its first op, so the
-//!   count reply never waits for a build and a query that is never
-//!   mutated never pays for one. Each effective op is then pushed through
-//!   every built materialization that mentions the touched relation —
-//!   O(path × bag-width) per op instead of a recount — and the refreshed
-//!   counts are re-published into the count cache, so the next `COUNT` of
-//!   a maintained query is a warm hit even though the data just changed.
+//!   full acyclic query's join-tree DP state. The count-cache entry owns
+//!   it ([`crate::cache::CountInfo::maintenance`]): a fresh count of a
+//!   maintainable query attaches a *pending* slot holding the query, and
+//!   the first batch that touches one of the query's relations builds
+//!   the state before its first op, so the count reply never waits for a
+//!   build and a query that is never mutated never pays for one. Each
+//!   effective op is then pushed through every built state of the batch's
+//!   entries — O(path × bag-width) per op instead of a recount.
 //! * **The count cache** is swept *surgically*
-//!   ([`crate::cache::CountCache::invalidate_relations`]): only entries
-//!   whose query mentions a touched relation die. Counts over untouched
-//!   relations and every cached plan survive — plans are data-independent.
+//!   ([`crate::cache::CountCache::refresh_relations`]): only entries
+//!   whose query mentions a touched relation are visited. One with a
+//!   healthy built state has its count refreshed in place, so the next
+//!   `COUNT` of a maintained query is a warm hit even though the data
+//!   just changed; every other one dies. Counts over untouched relations
+//!   and every cached plan survive — plans are data-independent.
 //!
-//! The fallback ladder never yields a wrong count: a materialization that
-//! cannot absorb a delta (state divergence, [`cqcount_delta::DeltaFault`])
-//! is dropped and counted in `cqcount_delta_fallbacks_total`; its cache
-//! entry was already invalidated by the sweep, so the next count simply
-//! runs cold. Queries that are not maintainable (cyclic, projections,
-//! constants-only atoms) are never registered and always take the sweep
-//! path. A reload still bumps the epoch and eagerly purges both the dead
-//! cache entries and the database's materializations, pending or built.
+//! The fallback ladder never yields a wrong count: a state that cannot
+//! absorb a delta (state divergence, [`cqcount_delta::DeltaFault`]) is
+//! emptied and counted in `cqcount_delta_fallbacks_total`; the sweep then
+//! drops its entry, so the next count simply runs cold. Queries that are
+//! not maintainable (cyclic, projections, constants-only atoms) never get
+//! a slot and always take the drop path. Because the state lives in the
+//! entry, whatever ends the entry — FIFO eviction, the epoch purge of a
+//! reload, `FLUSH` — ends the state with it. `materialize_cap` bounds the
+//! built states the cache holds; past it, pending slots stay unbuilt and
+//! their entries are dropped like any other.
 //!
 //! Locking: the batch runs entirely under the database's write lock —
-//! including the pending builds, the cache sweep and re-publish (the
-//! builds outside the registry's mutex) — while count workers insert
-//! into the cache under the same database's *read* lock. The exclusion
-//! means a cached count was either computed before the mutation (then the
-//! sweep saw it) or after (then it read post-mutation data); a stale
-//! count can never be published past a sweep.
+//! including the builds (outside every cache lock) and the sweep — while
+//! count workers insert into the cache under the same database's *read*
+//! lock. The exclusion means a cached count was either computed before
+//! the mutation (then the sweep saw it) or after (then it read
+//! post-mutation data); a stale count can never be published past a
+//! sweep.
 
-use crate::cache::CountInfo;
+use crate::cache::{Maintenance, MaintenanceSlot};
 use crate::protocol::{ErrorCode, MutationOp, Request, Response};
 use crate::server::{lookup_db, Shared};
 use cqcount_delta::MaterializedCount;
 use cqcount_obs::trace;
 use cqcount_query::ConjunctiveQuery;
 use cqcount_relational::{Database, Value};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-
-/// One registered materialization: a query over a database at a specific
-/// epoch, pending until the first mutation that touches it builds its
-/// join-tree DP state.
-pub(crate) struct Materialized {
-    /// Canonical query text (the count-cache key's query component).
-    pub(crate) canonical: String,
-    /// Database name.
-    pub(crate) db: String,
-    /// Epoch the entry was registered under; a reload orphans it.
-    pub(crate) epoch: u64,
-    /// The query, kept so the state can be built when it is first needed.
-    pub(crate) q: ConjunctiveQuery,
-    /// The maintained DP state; `None` while pending.
-    pub(crate) mc: Option<MaterializedCount>,
-}
-
-impl Materialized {
-    /// Is this an entry of `db_name` at `epoch`?
-    fn of(&self, db_name: &str, epoch: u64) -> bool {
-        self.epoch == epoch && self.db == db_name
-    }
-
-    /// Does the query mention `rel`? Mutations to other relations cannot
-    /// move its count.
-    fn mentions(&self, rel: &str) -> bool {
-        self.q.atoms().iter().any(|a| a.rel == rel)
-    }
-}
-
-/// A bounded FIFO registry of materializations, pending or built. Small
-/// by design: each built entry pins O(total view rows) of memory, so the
-/// registry keeps the most recently counted queries and lets old ones age
-/// out — an evicted query is still correct, it just recounts cold after
-/// the next mutation instead of being patched.
-pub(crate) struct MaterializedSet {
-    cap: usize,
-    entries: Mutex<VecDeque<Materialized>>,
-}
-
-impl MaterializedSet {
-    /// A registry holding at most `cap` entries (`0` disables
-    /// materialization entirely; mutations then invalidate only).
-    pub(crate) fn new(cap: usize) -> MaterializedSet {
-        MaterializedSet {
-            cap,
-            entries: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Is `(canonical, db)` already registered at `epoch`?
-    pub(crate) fn contains(&self, canonical: &str, db: &str, epoch: u64) -> bool {
-        self.entries
-            .lock()
-            .unwrap()
-            .iter()
-            .any(|m| m.of(db, epoch) && m.canonical == canonical)
-    }
-
-    /// Registers an entry, replacing any previous entry for the same
-    /// `(canonical, db)` and evicting FIFO beyond the cap.
-    pub(crate) fn register(&self, m: Materialized) {
-        if self.cap == 0 {
-            return;
-        }
-        let mut entries = self.entries.lock().unwrap();
-        entries.retain(|e| !(e.db == m.db && e.canonical == m.canonical));
-        entries.push_back(m);
-        while entries.len() > self.cap {
-            entries.pop_front();
-        }
-    }
-
-    /// Drops every entry (FLUSH).
-    pub(crate) fn clear(&self) {
-        self.entries.lock().unwrap().clear();
-    }
-
-    /// Drops entries of `db` registered under an epoch older than
-    /// `current` (RELOAD).
-    pub(crate) fn purge_epochs_below(&self, db: &str, current: u64) {
-        self.entries
-            .lock()
-            .unwrap()
-            .retain(|m| m.db != db || m.epoch >= current);
-    }
-}
 
 /// The relation symbols `q` mentions, sorted and deduped — the
 /// invalidation scope stored with every cached count.
@@ -146,71 +62,53 @@ pub(crate) fn query_relations(q: &ConjunctiveQuery) -> Vec<String> {
     set.into_iter().map(str::to_owned).collect()
 }
 
-/// Called by the count path after computing a fresh (non-degraded) count:
-/// registers a *pending* entry when the query is maintainable and none is
-/// registered yet for `(canonical, db)` at this epoch. It reads no data —
-/// the DP state is built by the first mutation batch that touches one of
-/// the query's relations ([`run_mutation`]), so a query that is never
-/// mutated never pays for it.
-pub(crate) fn maybe_materialize(
-    shared: &Shared,
-    q: &ConjunctiveQuery,
-    canonical: &str,
-    db_name: &str,
-    epoch: u64,
-) {
-    if shared.config.materialize_cap == 0
-        || !MaterializedCount::maintainable(q)
-        || shared.materialized.contains(canonical, db_name, epoch)
-    {
-        return;
-    }
-    shared.materialized.register(Materialized {
-        canonical: canonical.to_owned(),
-        db: db_name.to_owned(),
-        epoch,
-        q: q.clone(),
-        mc: None,
-    });
+/// The maintenance slot a fresh count attaches to its cache entry: a
+/// pending one when the query is maintainable and maintenance is on. It
+/// reads no data — the first mutation batch that touches one of the
+/// query's relations builds the state ([`run_mutation`]).
+pub(crate) fn pending_slot(shared: &Shared, q: &ConjunctiveQuery) -> Option<MaintenanceSlot> {
+    (shared.config.materialize_cap > 0 && MaterializedCount::maintainable(q))
+        .then(|| Arc::new(Mutex::new(Some(Maintenance::Pending(q.clone())))))
 }
 
-/// Builds every pending entry of `db_name` at `epoch` whose query
-/// mentions a relation of `ops`. The caller holds the database write lock
-/// and has applied none of the batch yet, so each state mirrors the
-/// database just before the batch — what `apply_delta` assumes. The
-/// builds run outside the registry's mutex, so counts on other databases
-/// never wait behind them; an entry that a FLUSH, a reload or FIFO
-/// eviction dropped meanwhile simply discards its state.
-fn build_pending(shared: &Shared, db: &Database, db_name: &str, epoch: u64, ops: &[MutationOp]) {
-    let pending: Vec<(String, ConjunctiveQuery)> = shared
-        .materialized
-        .entries
-        .lock()
-        .unwrap()
-        .iter()
-        .filter(|m| m.mc.is_none() && m.of(db_name, epoch))
-        .filter(|m| ops.iter().any(|op| m.mentions(&op.rel)))
-        .map(|m| (m.canonical.clone(), m.q.clone()))
-        .collect();
-    for (canonical, q) in pending {
+/// Collects the maintenance slots of `db_name`'s count entries at `epoch`
+/// whose query mentions a relation of `ops`, and builds the pending ones
+/// while the cache holds fewer than `materialize_cap` built states. The
+/// caller holds the database write lock and has applied none of the batch
+/// yet, so each state mirrors the database just before the batch — what
+/// `apply_delta` assumes. The builds hold no cache lock, so counts on
+/// other databases never wait behind them; a slot whose entry a FLUSH or
+/// FIFO eviction dropped meanwhile simply dies with the batch.
+fn build_pending(
+    shared: &Shared,
+    db: &Database,
+    db_name: &str,
+    epoch: u64,
+    ops: &[MutationOp],
+) -> Vec<MaintenanceSlot> {
+    let rels: Vec<&str> = ops.iter().map(|op| op.rel.as_str()).collect();
+    let (slots, mut built) = shared.counts.maintenance_slots(db_name, epoch, &rels);
+    for slot in &slots {
+        if built >= shared.config.materialize_cap {
+            break;
+        }
+        let q = match &*slot.lock().unwrap() {
+            Some(Maintenance::Pending(q)) => q.clone(),
+            _ => continue,
+        };
         let sp = trace::span("mutate.materialize");
-        let mut mc = MaterializedCount::build(&q, db);
+        // Slots are attached to maintainable queries only, so a refusal
+        // is unreachable; an emptied slot keeps it honest.
+        let mc = MaterializedCount::build(&q, db);
         if let Some(mc) = &mc {
             sp.add("pinned_rows", mc.pinned_rows() as u64);
             shared.metrics.delta_builds.inc();
+            built += 1;
         }
         drop(sp);
-        let mut entries = shared.materialized.entries.lock().unwrap();
-        // `maybe_materialize` registers maintainable queries only, so a
-        // refusal here is unreachable; dropping the entry keeps it honest.
-        entries.retain_mut(|m| {
-            if m.mc.is_some() || !m.of(db_name, epoch) || m.canonical != canonical {
-                return true;
-            }
-            m.mc = mc.take();
-            m.mc.is_some()
-        });
+        *slot.lock().unwrap() = mc.map(Maintenance::Built);
     }
+    slots
 }
 
 /// Converts a single-op request into the batch form `run_mutation` takes.
@@ -274,7 +172,7 @@ pub(crate) fn run_mutation(shared: &Shared, db_name: &str, ops: &[MutationOp]) -
         }
     }
     let seq_before = db.mutation_seq();
-    build_pending(shared, &db, db_name, state.epoch, ops);
+    let slots = build_pending(shared, &db, db_name, state.epoch, ops);
 
     let mut changed = 0u64;
     let mut bags_touched = 0u64;
@@ -302,8 +200,7 @@ pub(crate) fn run_mutation(shared: &Shared, db_name: &str, ops: &[MutationOp]) -
                             .expect("an effective mutation's constants are interned")
                     })
                     .collect();
-                bags_touched +=
-                    patch_materializations(shared, &db, db_name, state.epoch, op, &tuple);
+                bags_touched += patch_materializations(shared, &slots, &db, op, &tuple);
                 effective_ops.push(op.clone());
             }
             Err(e) => {
@@ -362,14 +259,8 @@ pub(crate) fn run_mutation(shared: &Shared, db_name: &str, ops: &[MutationOp]) -
                                     .expect("a rolled-back mutation's constants are interned")
                             })
                             .collect();
-                        bags_touched += patch_materializations(
-                            shared,
-                            &db,
-                            db_name,
-                            state.epoch,
-                            &inverse,
-                            &tuple,
-                        );
+                        bags_touched +=
+                            patch_materializations(shared, &slots, &db, &inverse, &tuple);
                     }
                     db.set_mutation_seq(seq_before);
                     changed = 0;
@@ -391,19 +282,16 @@ pub(crate) fn run_mutation(shared: &Shared, db_name: &str, ops: &[MutationOp]) -
     apply_sp.add("changed", changed);
     drop(apply_sp);
 
-    // Propagation: surgically invalidate dependent cache entries, then
-    // re-publish the maintained counts (they are fresh). Still under the
-    // write lock — see the module docs for why the order is safe.
+    // Propagation: refresh the maintained counts of dependent cache
+    // entries in place and drop the rest. Still under the write lock —
+    // see the module docs for why the order is safe.
     if !touched.is_empty() {
         let prop_sp = trace::span("mutate.propagate");
-        let rels: Vec<String> = touched.iter().cloned().collect();
-        let invalidated = shared
-            .counts
-            .invalidate_relations(db_name, state.epoch, &rels);
-        let republished = republish_counts(shared, db_name, state.epoch, &touched);
+        let rels: Vec<String> = touched.into_iter().collect();
+        let (refreshed, invalidated) = shared.counts.refresh_relations(db_name, state.epoch, &rels);
         prop_sp.add("bags_touched", bags_touched);
         prop_sp.add("invalidated", invalidated);
-        prop_sp.add("republished", republished);
+        prop_sp.add("refreshed", refreshed);
     }
 
     let mutation_seq = db.mutation_seq();
@@ -456,67 +344,34 @@ pub(crate) fn run_sync(shared: &Shared, db_name: &str) -> Response {
     }
 }
 
-/// Pushes one effective op through every live materialization of this
-/// database that mentions the touched relation. A materialization whose
-/// state diverges ([`cqcount_delta::DeltaFault`]) is dropped on the spot
-/// and counted as a fallback — the cache sweep that follows makes its
-/// entry cold, never wrong. Returns the bags re-aggregated.
+/// Pushes one effective op through every built state of the batch's
+/// slots that mentions the touched relation. A state that diverges
+/// ([`cqcount_delta::DeltaFault`]) is emptied on the spot and counted as a
+/// fallback — the sweep that follows drops its entry, so the count goes
+/// cold, never wrong. Returns the bags re-aggregated.
 fn patch_materializations(
     shared: &Shared,
+    slots: &[MaintenanceSlot],
     db: &Database,
-    db_name: &str,
-    epoch: u64,
     op: &MutationOp,
     tuple: &[Value],
 ) -> u64 {
-    let mut entries = shared.materialized.entries.lock().unwrap();
     let mut bags = 0u64;
-    entries.retain_mut(|m| {
-        if !m.of(db_name, epoch) {
-            return true;
-        }
-        let Some(mc) = m.mc.as_mut().filter(|mc| mc.mentions(&op.rel)) else {
-            return true;
+    for slot in slots {
+        let mut state = slot.lock().unwrap();
+        let Some(Maintenance::Built(mc)) = state.as_mut() else {
+            continue;
         };
-        match mc.apply_delta(db, &op.rel, tuple, op.insert) {
-            Ok(outcome) => {
-                bags += outcome.bags_touched;
-                true
-            }
-            Err(_) => {
-                shared.metrics.delta_fallbacks.inc();
-                false
-            }
-        }
-    });
-    bags
-}
-
-/// Re-installs the (fresh) counts of every live materialization of this
-/// database that mentions a touched relation, so the next `COUNT` of a
-/// maintained query hits the cache instead of recounting. Returns how
-/// many counts were published.
-fn republish_counts(shared: &Shared, db_name: &str, epoch: u64, touched: &BTreeSet<String>) -> u64 {
-    let entries = shared.materialized.entries.lock().unwrap();
-    let mut published = 0u64;
-    for m in entries.iter() {
-        let Some(mc) = &m.mc else { continue };
-        if !m.of(db_name, epoch) || !touched.iter().any(|r| mc.mentions(r)) {
+        if !mc.mentions(&op.rel) {
             continue;
         }
-        shared.counts.insert(
-            (m.canonical.clone(), db_name.to_owned(), epoch),
-            Arc::new(CountInfo {
-                value: mc.count(),
-                rels: mc
-                    .relations()
-                    .map(str::to_owned)
-                    .collect::<BTreeSet<_>>()
-                    .into_iter()
-                    .collect(),
-            }),
-        );
-        published += 1;
+        match mc.apply_delta(db, &op.rel, tuple, op.insert) {
+            Ok(outcome) => bags += outcome.bags_touched,
+            Err(_) => {
+                *state = None;
+                shared.metrics.delta_fallbacks.inc();
+            }
+        }
     }
-    published
+    bags
 }

@@ -30,7 +30,7 @@ use crate::poll::{poll_fds, PollFd, WakePipe, Waker, POLLIN, POLLOUT};
 use crate::protocol::{parse_frame_prefix, ErrorCode, Frame, Request, Response, MAX_PAYLOAD, V5};
 use crate::queue::BoundedQueue;
 use crate::server::{
-    counting_op, handle_admin, op_name, overload_response, try_fast_path, Job, Shared,
+    counting_op, handle_admin, op_index, overload_response, try_fast_path, Job, Shared,
 };
 use cqcount_obs::trace;
 use cqcount_obs::watchdog::HeartbeatKind;
@@ -163,12 +163,12 @@ struct PendingReq {
     version: u8,
     req_id: u64,
     decode_start: u64,
-    /// `false` for frame-decode failures, which the blocking path never
-    /// timed (they answered before the latency clock started).
+    /// `false` for payload-decode failures: they are answered before any
+    /// work starts, so they stay out of the latency histograms.
     observe_latency: bool,
-    /// Opcode label for the per-op latency histogram (empty for frames
-    /// whose payload never decoded into a request).
-    op: &'static str,
+    /// Row of the per-opcode latency histogram (`None` for frames whose
+    /// payload never decoded into a request).
+    op: Option<usize>,
 }
 
 struct Conn {
@@ -478,8 +478,8 @@ pub(crate) fn run_reactor(cfg: ReactorConfig) {
 }
 
 /// Shortest deadline among idle-reap and write-stall clocks, clamped to
-/// [1 ms, 500 ms]. Connections waiting on workers have no read deadline
-/// (the blocking path's timeout also only ran between frames).
+/// [1 ms, 500 ms]. Connections waiting on workers have no read deadline:
+/// the idle clock only runs between frames.
 fn poll_timeout(shared: &Shared, conns: &HashMap<u64, Conn>) -> Duration {
     let mut timeout = Duration::from_millis(500);
     let now = Instant::now();
@@ -500,9 +500,9 @@ fn poll_timeout(shared: &Shared, conns: &HashMap<u64, Conn>) -> Duration {
     timeout.max(Duration::from_millis(1))
 }
 
-/// Closes connections past their deadlines: idle peers are *reaped*
-/// (counted), stalled writers are dropped silently — both mirror the
-/// blocking path's read/write socket timeouts.
+/// Closes connections past their deadlines (`read_timeout_ms` idle,
+/// `write_timeout_ms` stalled on output): idle peers are *reaped*
+/// (counted), stalled writers are dropped silently.
 fn reap(shared: &Shared, conns: &mut HashMap<u64, Conn>) {
     let now = Instant::now();
     let read_to = shared.config.read_timeout_ms;
@@ -622,9 +622,8 @@ fn handle_frame(
     let request = match Request::decode(&frame) {
         Ok(r) => r,
         Err(e) => {
-            // Malformed payload in a well-framed request: reply in
-            // sequence and keep the connection (the blocking path's
-            // behavior, which also skipped the latency histogram here).
+            // Malformed payload in a well-framed request: the framing is
+            // intact, so reply in sequence and keep the connection.
             conn.pending.insert(
                 seq,
                 PendingReq {
@@ -632,7 +631,7 @@ fn handle_frame(
                     req_id,
                     decode_start,
                     observe_latency: false,
-                    op: "",
+                    op: None,
                 },
             );
             if version < V5 {
@@ -656,7 +655,7 @@ fn handle_frame(
             req_id,
             decode_start,
             observe_latency: true,
-            op: op_name(&request),
+            op: Some(op_index(&request)),
         },
     );
     if version < V5 {
@@ -669,7 +668,7 @@ fn handle_frame(
     }
 
     // Counting work. Job faults are drawn here, at decode, in request
-    // order per connection — same RNG stream as the blocking path. A
+    // order per connection, so a seeded profile replays exactly. A
     // drawn fault forces the worker route so panics and cap trips fire
     // even when the answer is warm.
     let faults = conn
@@ -709,8 +708,8 @@ fn complete(shared: &Shared, conn: &mut Conn, seq: u64, response: Response) {
     if p.observe_latency {
         let us = trace::now_ns().saturating_sub(p.decode_start) / 1_000;
         shared.metrics.latency_us.observe(us);
-        if let Some(h) = shared.metrics.op_latency(p.op) {
-            h.observe(us);
+        if let Some(op) = p.op {
+            shared.metrics.op_latency(op).observe(us);
         }
     }
     let bytes = response.encode(p.version, p.req_id);

@@ -116,9 +116,10 @@ pub struct ServerConfig {
     /// When set, every counting request is traced and its span tree is
     /// appended to this file as one JSON line (`--trace-log`).
     pub trace_log: Option<std::path::PathBuf>,
-    /// Most queries registered for incremental maintenance, pending or
-    /// built (see [`crate::mutation`]): a count registers its query, and
-    /// the first mutation that touches it builds the state. `0` disables
+    /// Most built incremental-maintenance states the count cache holds
+    /// (see [`crate::mutation`]): a fresh count attaches a pending state
+    /// to its cache entry, and the first mutation that touches it builds
+    /// the state while fewer than this many are built. `0` disables
     /// materialization, so mutations only invalidate.
     pub materialize_cap: usize,
     /// Durable root (`--data-dir`). `None` (the default) keeps the v6
@@ -233,39 +234,16 @@ pub(crate) struct Metrics {
     /// Requests fully served (reply written; errors excluded only when the
     /// request never produced a reply).
     pub(crate) served: Counter,
-    // Per-opcode admission counters (`cqcount_requests_total{op=...}`).
-    req_count: Counter,
-    req_enumerate: Counter,
-    req_width_report: Counter,
-    req_stats: Counter,
-    req_reload: Counter,
-    req_flush: Counter,
-    req_profile: Counter,
-    req_metrics: Counter,
-    req_insert: Counter,
-    req_delete: Counter,
-    req_mutate: Counter,
-    req_sync: Counter,
-    req_history: Counter,
-    req_flight: Counter,
-    // Per-ErrorCode outcome counters (`cqcount_errors_total{code=...}`).
-    err_protocol: Counter,
-    err_parse: Counter,
-    err_unknown_db: Counter,
-    err_plan: Counter,
-    err_budget_exceeded: Counter,
-    err_overloaded: Counter,
-    err_internal: Counter,
-    err_read_only: Counter,
+    /// Outcome counters (`cqcount_errors_total{code=...}`), row
+    /// `code as usize - 1` for each [`ErrorCode`].
+    errors: [Counter; ERR_LABELS.len()],
     degraded: Counter,
     panicked: Counter,
     pub(crate) reaped: Counter,
     pub(crate) queue_depth: Gauge,
     pub(crate) latency_us: Histogram,
-    /// Per-opcode request-latency series
-    /// (`cqcount_request_latency_by_op_us{op=...}`) — the flight
-    /// recorder's self-calibrating thresholds read their live p99.
-    latency_by_op: Vec<(&'static str, Histogram)>,
+    /// The per-opcode series, row [`op_index`] for each request.
+    ops: [OpSeries; OP_LABELS.len()],
     pub(crate) reply_write_us: Histogram,
     /// Warm-hit requests answered inline on a reactor shard.
     pub(crate) fast_path_hits: Counter,
@@ -327,9 +305,19 @@ pub(crate) struct Metrics {
     fingerprint_capped: Counter,
 }
 
-/// Every opcode label, in wire order — the per-opcode latency family
-/// pre-registers one series per label so the hot path never allocates.
-const OP_LABELS: &[&str] = &[
+/// The metric series kept per opcode.
+struct OpSeries {
+    /// Requests admitted (`cqcount_requests_total{op=...}`).
+    admitted: Counter,
+    /// Request latency (`cqcount_request_latency_by_op_us{op=...}`) — the
+    /// flight recorder's self-calibrating thresholds read its live p99.
+    latency_us: Histogram,
+}
+
+/// Every opcode label, in wire order (row `i` is opcode `i + 1`): the
+/// per-opcode families pre-register one series per label so the hot path
+/// never allocates.
+const OP_LABELS: [&str; 14] = [
     "count",
     "enumerate",
     "width_report",
@@ -344,6 +332,18 @@ const OP_LABELS: &[&str] = &[
     "sync",
     "history",
     "flight",
+];
+
+/// Every error-code label, in wire order (row `i` is code `i + 1`).
+const ERR_LABELS: [&str; 8] = [
+    "parse",
+    "plan",
+    "unknown_db",
+    "overloaded",
+    "budget_exceeded",
+    "protocol",
+    "internal",
+    "read_only",
 ];
 
 impl Metrics {
@@ -366,33 +366,17 @@ impl Metrics {
             )
         };
         let cache = |name, help, which| r.counter_labeled(name, help, "cache", which);
+        // Registration order is the METRICS text order: each family's
+        // series must stay contiguous.
+        let served = r.counter(
+            "cqcount_requests_served_total",
+            "Requests that produced a reply (including error replies).",
+        );
+        let admitted = OP_LABELS.map(req);
+        let errors = ERR_LABELS.map(err);
         Metrics {
-            served: r.counter(
-                "cqcount_requests_served_total",
-                "Requests that produced a reply (including error replies).",
-            ),
-            req_count: req("count"),
-            req_enumerate: req("enumerate"),
-            req_width_report: req("width_report"),
-            req_stats: req("stats"),
-            req_reload: req("reload"),
-            req_flush: req("flush"),
-            req_profile: req("profile"),
-            req_metrics: req("metrics"),
-            req_insert: req("insert"),
-            req_delete: req("delete"),
-            req_mutate: req("mutate"),
-            req_sync: req("sync"),
-            req_history: req("history"),
-            req_flight: req("flight"),
-            err_protocol: err("protocol"),
-            err_parse: err("parse"),
-            err_unknown_db: err("unknown_db"),
-            err_plan: err("plan"),
-            err_budget_exceeded: err("budget_exceeded"),
-            err_overloaded: err("overloaded"),
-            err_internal: err("internal"),
-            err_read_only: err("read_only"),
+            served,
+            errors,
             degraded: r.counter(
                 "cqcount_degraded_total",
                 "Counts served by a degraded (fallback) plan.",
@@ -414,21 +398,16 @@ impl Metrics {
                 "Request latency from decode to reply-ready, microseconds.",
                 LATENCY_BUCKETS_US,
             ),
-            latency_by_op: OP_LABELS
-                .iter()
-                .map(|op| {
-                    (
-                        *op,
-                        r.histogram_labeled(
-                            "cqcount_request_latency_by_op_us",
-                            "Request latency by opcode, microseconds.",
-                            "op",
-                            op,
-                            LATENCY_BUCKETS_US,
-                        ),
-                    )
-                })
-                .collect(),
+            ops: std::array::from_fn(|i| OpSeries {
+                admitted: admitted[i].clone(),
+                latency_us: r.histogram_labeled(
+                    "cqcount_request_latency_by_op_us",
+                    "Request latency by opcode, microseconds.",
+                    "op",
+                    OP_LABELS[i],
+                    LATENCY_BUCKETS_US,
+                ),
+            }),
             reply_write_us: r.histogram(
                 "cqcount_reply_write_us",
                 "Time spent encoding + writing a reply frame, microseconds.",
@@ -565,22 +544,7 @@ impl Metrics {
 
     /// The admission counter for a decoded request.
     pub(crate) fn op_counter(&self, r: &Request) -> &Counter {
-        match r {
-            Request::Count { .. } => &self.req_count,
-            Request::Enumerate { .. } => &self.req_enumerate,
-            Request::WidthReport { .. } => &self.req_width_report,
-            Request::Stats => &self.req_stats,
-            Request::Reload { .. } => &self.req_reload,
-            Request::Flush => &self.req_flush,
-            Request::Profile { .. } => &self.req_profile,
-            Request::Metrics => &self.req_metrics,
-            Request::Insert { .. } => &self.req_insert,
-            Request::Delete { .. } => &self.req_delete,
-            Request::Mutate { .. } => &self.req_mutate,
-            Request::Sync { .. } => &self.req_sync,
-            Request::History { .. } => &self.req_history,
-            Request::Flight { .. } => &self.req_flight,
-        }
+        &self.ops[op_index(r)].admitted
     }
 
     /// The registry backing every handle (the history sampler's input).
@@ -588,47 +552,41 @@ impl Metrics {
         &self.registry
     }
 
-    /// The latency histogram for an opcode label, if registered.
-    pub(crate) fn op_latency(&self, op: &str) -> Option<&Histogram> {
-        self.latency_by_op
-            .iter()
-            .find(|(label, _)| *label == op)
-            .map(|(_, h)| h)
+    /// The latency histogram for an opcode row (see [`op_index`]).
+    pub(crate) fn op_latency(&self, op: usize) -> &Histogram {
+        &self.ops[op].latency_us
     }
 
     /// The outcome counter for an error code.
     fn err_counter(&self, code: ErrorCode) -> &Counter {
-        match code {
-            ErrorCode::Protocol => &self.err_protocol,
-            ErrorCode::Parse => &self.err_parse,
-            ErrorCode::UnknownDb => &self.err_unknown_db,
-            ErrorCode::Plan => &self.err_plan,
-            ErrorCode::BudgetExceeded => &self.err_budget_exceeded,
-            ErrorCode::Overloaded => &self.err_overloaded,
-            ErrorCode::Internal => &self.err_internal,
-            ErrorCode::ReadOnly => &self.err_read_only,
-        }
+        &self.errors[code as usize - 1]
     }
 }
 
-/// The short opcode label used for span tags and the trace log.
-pub(crate) fn op_name(r: &Request) -> &'static str {
+/// A request's row in the per-opcode tables: its wire opcode minus one.
+pub(crate) fn op_index(r: &Request) -> usize {
     match r {
-        Request::Count { .. } => "count",
-        Request::Enumerate { .. } => "enumerate",
-        Request::WidthReport { .. } => "width_report",
-        Request::Stats => "stats",
-        Request::Reload { .. } => "reload",
-        Request::Flush => "flush",
-        Request::Profile { .. } => "profile",
-        Request::Metrics => "metrics",
-        Request::Insert { .. } => "insert",
-        Request::Delete { .. } => "delete",
-        Request::Mutate { .. } => "mutate",
-        Request::Sync { .. } => "sync",
-        Request::History { .. } => "history",
-        Request::Flight { .. } => "flight",
+        Request::Count { .. } => 0,
+        Request::Enumerate { .. } => 1,
+        Request::WidthReport { .. } => 2,
+        Request::Stats => 3,
+        Request::Reload { .. } => 4,
+        Request::Flush => 5,
+        Request::Profile { .. } => 6,
+        Request::Metrics => 7,
+        Request::Insert { .. } => 8,
+        Request::Delete { .. } => 9,
+        Request::Mutate { .. } => 10,
+        Request::Sync { .. } => 11,
+        Request::History { .. } => 12,
+        Request::Flight { .. } => 13,
     }
+}
+
+/// The short opcode label used for metric labels, span tags and the
+/// trace log.
+pub(crate) fn op_name(r: &Request) -> &'static str {
+    OP_LABELS[op_index(r)]
 }
 
 /// The `--trace-log` sink. Lines are pre-formatted by whoever ran the
@@ -660,9 +618,6 @@ pub(crate) struct Shared {
     /// warm hit never parses.
     pub(crate) fingerprints: FingerprintCache,
     pub(crate) metrics: Metrics,
-    /// Registered materializations, built by the first mutation that
-    /// touches them and then patched in place.
-    pub(crate) materialized: crate::mutation::MaterializedSet,
     pub(crate) injector: Option<Arc<FaultInjector>>,
     /// Durable root (`--data-dir`): WAL + snapshot configuration shared
     /// by every database; `None` keeps the server memory-only.
@@ -730,13 +685,13 @@ impl Shared {
         dbs.sort_by(|a, b| a.name.cmp(&b.name));
         StatsReply {
             served: self.metrics.served.get(),
-            overloaded: self.metrics.err_overloaded.get(),
+            overloaded: self.metrics.err_counter(ErrorCode::Overloaded).get(),
             plan_hits,
             plan_misses,
             count_hits,
             count_misses,
-            malformed: self.metrics.err_protocol.get(),
-            budget_exceeded: self.metrics.err_budget_exceeded.get(),
+            malformed: self.metrics.err_counter(ErrorCode::Protocol).get(),
+            budget_exceeded: self.metrics.err_counter(ErrorCode::BudgetExceeded).get(),
             panicked: self.metrics.panicked.get(),
             reaped: self.metrics.reaped.get(),
             degraded: self.metrics.degraded.get(),
@@ -759,12 +714,8 @@ impl Shared {
     /// The flight recorder's latency threshold for one opcode: the live
     /// p99 of that opcode's latency series, floored by the configured
     /// minimum so a fast, healthy opcode doesn't retain its own noise.
-    pub(crate) fn retention_threshold_us(&self, op: &str) -> u64 {
-        let p99 = self
-            .metrics
-            .op_latency(op)
-            .and_then(|h| h.quantile(0.99))
-            .unwrap_or(0);
+    pub(crate) fn retention_threshold_us(&self, op: usize) -> u64 {
+        let p99 = self.metrics.op_latency(op).quantile(0.99).unwrap_or(0);
         p99.max(self.config.recorder_threshold_us)
     }
 
@@ -816,7 +767,6 @@ impl Shared {
         // The bump made every older-epoch artifact unaddressable; reclaim
         // the memory now instead of waiting for FIFO churn.
         self.counts.purge_epochs_below(name, epoch);
-        self.materialized.purge_epochs_below(name, epoch);
         // Persist the new contents before acknowledging the reload: a
         // crash after the `Ok` must recover the *new* database. Under the
         // read lock — a mutation racing the install lands either before
@@ -1008,7 +958,6 @@ pub fn serve(
     };
     let metrics = Metrics::new();
     metrics.attach_planner_counters();
-    let materialized = crate::mutation::MaterializedSet::new(config.materialize_cap);
     let plans = PlanCache::with_counters(
         config.plan_cache_cap,
         metrics.plan_hits.clone(),
@@ -1056,7 +1005,6 @@ pub fn serve(
         counts,
         fingerprints,
         metrics,
-        materialized,
         dbs: RwLock::new(HashMap::new()),
         injector,
         durable_store,
@@ -1278,7 +1226,6 @@ pub(crate) fn handle_admin(
             shared.plans.clear();
             shared.counts.clear();
             shared.fingerprints.clear();
-            shared.materialized.clear();
             Response::Ok { epoch: 0 }
         }
         Request::History { since_seq, limit } => {
@@ -1499,7 +1446,7 @@ fn execute_job(shared: &Shared, job: &Job) -> (Response, Option<String>) {
     let tree = trace::build_tree(trace::collect(root_id), root_id);
     if let (Some(recorder), Some(tree)) = (&shared.recorder, &tree) {
         let latency_us = trace::now_ns().saturating_sub(job.submitted_ns) / 1_000;
-        let threshold_us = shared.retention_threshold_us(op);
+        let threshold_us = shared.retention_threshold_us(op_index(&job.request));
         let delta_fault = shared.metrics.delta_fallbacks.get() > fallbacks_before;
         if let Some(reason) = retain_reason(&response, delta_fault, latency_us, threshold_us) {
             shared.metrics.recorder_retained.inc();
@@ -1765,7 +1712,8 @@ fn run_job(shared: &Shared, request: &Request, faults: JobFaults) -> Response {
             crate::mutation::run_mutation(shared, db, &ops)
         }
         Request::Sync { db } => crate::mutation::run_sync(shared, db),
-        // Admin requests are answered inline by the connection thread.
+        // Admin requests are answered by `handle_admin` before a job is
+        // ever queued.
         _ => Response::Error {
             code: ErrorCode::Internal,
             message: "internal error: admin request reached a worker".into(),
@@ -1886,17 +1834,20 @@ fn run_count(
             // A degraded plan has no decomposition, so a degradation rung
             // (never the structurally chosen algorithm) produced the count.
             let degraded = entry.prepared.degraded;
-            // Exact regardless of degradation, so always cacheable.
+            // Exact regardless of degradation, so always cacheable; only
+            // a structurally planned count gets a maintenance slot.
             shared.counts.insert(
                 key,
                 Arc::new(crate::cache::CountInfo {
                     value: n.clone(),
                     rels: crate::mutation::query_relations(&q),
+                    maintenance: if degraded {
+                        None
+                    } else {
+                        crate::mutation::pending_slot(shared, &q)
+                    },
                 }),
             );
-            if !degraded {
-                crate::mutation::maybe_materialize(shared, &q, &fp.text, db_name, state.epoch);
-            }
             let plan_label = match plan {
                 cqcount_core::Plan::SharpPipeline { width } => {
                     format!("sharp-pipeline(width={width})")
@@ -2049,4 +2000,99 @@ fn report_reply(report: &WidthReport) -> Response {
         free: report.free as u64,
         cap: report.cap as u64,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{MutationOp, V8};
+
+    /// Row `op_index(r)` of the per-opcode tables is the wire opcode minus
+    /// one, so `OP_LABELS` and the series registered from it line up with
+    /// the requests they count.
+    #[test]
+    fn op_rows_follow_the_wire_opcodes() {
+        let db = || "main".to_owned();
+        let s = || "x".to_owned();
+        let op = MutationOp {
+            insert: true,
+            rel: s(),
+            values: vec![s()],
+        };
+        let requests = [
+            Request::Count {
+                db: db(),
+                query: s(),
+                budget_ms: 0,
+            },
+            Request::Enumerate {
+                db: db(),
+                query: s(),
+                limit: 1,
+                budget_ms: 0,
+            },
+            Request::WidthReport { query: s(), cap: 1 },
+            Request::Stats,
+            Request::Reload {
+                db: db(),
+                text: s(),
+            },
+            Request::Flush,
+            Request::Profile {
+                db: db(),
+                query: s(),
+                budget_ms: 0,
+            },
+            Request::Metrics,
+            Request::Insert {
+                db: db(),
+                rel: s(),
+                values: vec![s()],
+            },
+            Request::Delete {
+                db: db(),
+                rel: s(),
+                values: vec![s()],
+            },
+            Request::Mutate {
+                db: db(),
+                ops: vec![op],
+            },
+            Request::Sync { db: db() },
+            Request::History {
+                since_seq: 0,
+                limit: 1,
+            },
+            Request::Flight { limit: 1 },
+        ];
+        for r in &requests {
+            assert_eq!(op_index(r) + 1, usize::from(r.encode(V8, 0)[3]), "{r:?}");
+        }
+        assert_eq!(requests.len(), OP_LABELS.len());
+    }
+
+    /// Each error code bumps the `cqcount_errors_total` series carrying
+    /// its own label.
+    #[test]
+    fn error_rows_carry_their_labels() {
+        let m = Metrics::new();
+        let labels = [
+            (ErrorCode::Parse, "parse"),
+            (ErrorCode::Plan, "plan"),
+            (ErrorCode::UnknownDb, "unknown_db"),
+            (ErrorCode::Overloaded, "overloaded"),
+            (ErrorCode::BudgetExceeded, "budget_exceeded"),
+            (ErrorCode::Protocol, "protocol"),
+            (ErrorCode::Internal, "internal"),
+            (ErrorCode::ReadOnly, "read_only"),
+        ];
+        for (n, (code, _)) in labels.iter().enumerate() {
+            m.err_counter(*code).add(n as u64 + 1);
+        }
+        let text = m.registry().render();
+        for (n, (_, label)) in labels.iter().enumerate() {
+            let line = format!("cqcount_errors_total{{code=\"{label}\"}} {}", n + 1);
+            assert!(text.lines().any(|l| l == line), "missing {line}");
+        }
+    }
 }

@@ -37,6 +37,7 @@
 //! frame, so a recovered count is always a count the server once served.
 
 use crate::protocol::{read_str, read_uleb, write_str, write_uleb, MutationOp};
+use cqcount_relational::store::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -50,32 +51,6 @@ pub(crate) const WAL_FILE: &str = "wal.log";
 /// pathological cases, but those arrive via `MAX_PAYLOAD`-capped frames
 /// (16 MiB) and can never encode to more than a small multiple of that.
 const MAX_RECORD_BODY: u64 = 64 << 20;
-
-/// CRC-32 (IEEE 802.3, reflected), table-driven, std-only. Shared with
-/// the snapshot format.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
-        }
-        t
-    });
-    let mut c = !0u32;
-    for &b in bytes {
-        c = table[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 /// One WAL record: an effective mutation batch and where it left the
 /// database's mutation sequence.

@@ -109,10 +109,10 @@ fn random_op(
 }
 
 /// Acyclic stream: the query is full and α-acyclic, so the first cold
-/// count registers it, the first mutation builds its materialization, and
+/// count attaches a pending state, the first mutation builds its materialization, and
 /// every mutation patches it along the bag path. From the second count
-/// on, every count must be a cache hit (the republished maintained count)
-/// *and* exactly equal the brute-force recount of the mirror.
+/// on, every count must be a cache hit (the maintained count, refreshed
+/// in place) *and* exactly equal the brute-force recount of the mirror.
 #[test]
 fn acyclic_mutation_stream_keeps_counts_exact_and_warm() {
     let facts = "r(v0, v1). r(v1, v2). s(v1, v0). s(v2, v2). t(v2). t(v0).";
@@ -157,7 +157,7 @@ fn acyclic_mutation_stream_keeps_counts_exact_and_warm() {
         assert_eq!(
             reply.cached,
             CacheTier::CountWarm,
-            "op {i}: a maintained query must be served from the republished count"
+            "op {i}: a maintained query must be served from its refreshed count"
         );
     }
 
@@ -232,7 +232,7 @@ fn cyclic_mutation_stream_keeps_counts_exact_via_invalidation() {
 }
 
 /// Surgical invalidation: a mutation touching relation `r` must leave
-/// cached counts over `s` untouched (still count-cache hits), republish
+/// cached counts over `s` untouched (still count-cache hits), refresh
 /// the maintained count over `r` (warm *and* fresh), and force exactly a
 /// plan-warm recount for an unmaintainable query over `r`.
 #[test]
@@ -589,5 +589,121 @@ fn reload_or_flush_before_the_mutation_leaves_nothing_to_build() {
     let reply = client.count("main", LAZY_QUERY, 0).unwrap();
     assert_eq!(reply.cached, CacheTier::PlanWarm);
     assert_eq!(reply.value, count_brute_force(&q, &mirror).to_string());
+    handle.shutdown();
+}
+
+/// Two maintainable queries over `r`, for the `materialize_cap` tests.
+const R_QUERIES: [&str; 2] = ["ans(X, Y) :- r(X, Y).", "ans(X, Y, Z) :- r(X, Y), r(Y, Z)."];
+
+/// `materialize_cap` bounds the *built* states the count cache holds: with
+/// a cap of 1 the batch builds one of two pending states, refreshes that
+/// count in place and drops the other, which then recounts under its
+/// cached plan. Which of the two gets built is unspecified, but it stays
+/// the one: the recount's fresh pending state finds the cap taken, so
+/// later mutations build nothing more.
+#[test]
+fn materialize_cap_bounds_built_states() {
+    let config = ServerConfig {
+        materialize_cap: 1,
+        ..ServerConfig::default()
+    };
+    let handle = start(config, LAZY_FACTS);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let mut mirror = parse_database(LAZY_FACTS).unwrap();
+    for q in R_QUERIES {
+        client.count("main", q, 0).unwrap();
+    }
+    let mut first_tiers = None;
+    for values in [["c", "a"], ["a", "c"]] {
+        assert_eq!(client.insert("main", "r", &values).unwrap().changed, 1);
+        mirror.insert_tuple("r", &values).unwrap();
+        assert_eq!(delta_builds(&mut client), 1);
+
+        let mut tiers = Vec::new();
+        for q in R_QUERIES {
+            let reply = client.count("main", q, 0).unwrap();
+            let brute = count_brute_force(&parse_query(LAZY_FACTS, q), &mirror);
+            assert_eq!(reply.value, brute.to_string(), "{q}");
+            tiers.push(reply.cached);
+        }
+        assert!(
+            tiers.contains(&CacheTier::CountWarm) && tiers.contains(&CacheTier::PlanWarm),
+            "{tiers:?}"
+        );
+        assert_eq!(*first_tiers.get_or_insert(tiers.clone()), tiers);
+    }
+    handle.shutdown();
+}
+
+/// `materialize_cap: 0` turns maintenance off: mutations build nothing
+/// and every dependent count recounts, exactly, under its cached plan.
+#[test]
+fn materialize_cap_zero_builds_nothing() {
+    let config = ServerConfig {
+        materialize_cap: 0,
+        ..ServerConfig::default()
+    };
+    let handle = start(config, LAZY_FACTS);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let mut mirror = parse_database(LAZY_FACTS).unwrap();
+    for q in R_QUERIES {
+        client.count("main", q, 0).unwrap();
+    }
+    for values in [["c", "a"], ["a", "c"]] {
+        assert_eq!(client.insert("main", "r", &values).unwrap().changed, 1);
+        mirror.insert_tuple("r", &values).unwrap();
+        for q in R_QUERIES {
+            let reply = client.count("main", q, 0).unwrap();
+            let brute = count_brute_force(&parse_query(LAZY_FACTS, q), &mirror);
+            assert_eq!(reply.value, brute.to_string(), "{q}");
+            assert_eq!(reply.cached, CacheTier::PlanWarm, "{q}");
+        }
+    }
+    assert_eq!(delta_builds(&mut client), 0);
+    handle.shutdown();
+}
+
+/// A maintenance state lives and dies with its count-cache entry: when
+/// FIFO churn evicts the entry, the state goes too, the next recount after
+/// a mutation is cold (plan-warm), and the next mutation builds afresh.
+#[test]
+fn evicting_a_count_ends_its_maintenance_state() {
+    let config = ServerConfig {
+        count_cache_cap: 1,
+        ..ServerConfig::default()
+    };
+    let handle = start(config, LAZY_FACTS);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let mut mirror = parse_database(LAZY_FACTS).unwrap();
+    let q1 = R_QUERIES[0];
+    let q2 = "ans(X, Y) :- s(X, Y).";
+    let exact = |mirror: &Database| count_brute_force(&parse_query(LAZY_FACTS, q1), mirror);
+    let mut mutate = |client: &mut Client, values: [&str; 2]| {
+        assert_eq!(client.insert("main", "r", &values).unwrap().changed, 1);
+        mirror.insert_tuple("r", &values).unwrap();
+        exact(&mirror).to_string()
+    };
+
+    client.count("main", q1, 0).unwrap();
+    let expect = mutate(&mut client, ["c", "a"]);
+    let reply = client.count("main", q1, 0).unwrap();
+    assert_eq!(reply.cached, CacheTier::CountWarm);
+    assert_eq!(reply.value, expect);
+    assert_eq!(delta_builds(&mut client), 1);
+
+    // q2 takes the only slot; q1's entry and its built state are gone.
+    client.count("main", q2, 0).unwrap();
+    let expect = mutate(&mut client, ["a", "c"]);
+    let reply = client.count("main", q1, 0).unwrap();
+    assert_eq!(reply.cached, CacheTier::PlanWarm);
+    assert_eq!(reply.value, expect);
+    assert_eq!(delta_builds(&mut client), 1, "q2 is not over r");
+
+    // The recount attached a fresh pending state, built by this mutation.
+    let expect = mutate(&mut client, ["b", "a"]);
+    assert_eq!(delta_builds(&mut client), 2);
+    let reply = client.count("main", q1, 0).unwrap();
+    assert_eq!(reply.cached, CacheTier::CountWarm);
+    assert_eq!(reply.value, expect);
     handle.shutdown();
 }
