@@ -12,7 +12,6 @@
 use crate::sharp::SharpDecomposition;
 use crate::width_search::WidthSearch;
 use cqcount_query::{ConjunctiveQuery, Var};
-use cqcount_relational::consistency::full_reduce;
 use cqcount_relational::{Bindings, Database, FxHashMap, Tuple, Value};
 use std::collections::BTreeMap;
 
@@ -41,13 +40,14 @@ pub fn for_each_answer_with<F>(
 ) where
     F: FnMut(&BTreeMap<Var, Value>) -> bool,
 {
-    let (complete, mut views) = crate::ps::completed_views(&sd.qprime, db, &sd.hypertree);
-    full_reduce(&mut views, &complete.parent, &complete.order);
-    if views.iter().any(Bindings::is_empty) {
+    let crate::sharp::CountViews {
+        tree: complete,
+        views: projected,
+        ..
+    } = crate::sharp::free_views(&sd.qprime, db, &sd.hypertree);
+    if projected.iter().any(Bindings::is_empty) {
         return;
     }
-    let free_cols: Vec<u32> = q.free().iter().map(|v| v.node()).collect();
-    let projected: Vec<Bindings> = views.iter().map(|v| v.project(&free_cols)).collect();
 
     // Pre-order over the tree (roots in sequence = product of components).
     let mut pre_order = Vec::with_capacity(projected.len());

@@ -11,11 +11,10 @@
 //! functionally determined by the free ones).
 
 use crate::ps::count_sharp_relations_views;
-use crate::sharp::SharpDecomposition;
+use crate::sharp::{free_views, SharpDecomposition};
 use crate::width_search::WidthSearch;
 use cqcount_arith::Natural;
 use cqcount_query::{ConjunctiveQuery, Var};
-use cqcount_relational::consistency::full_reduce;
 use cqcount_relational::{Bindings, Database};
 use std::collections::BTreeSet;
 
@@ -31,42 +30,15 @@ pub struct HybridDecomposition {
     pub bound: usize,
 }
 
-/// Materializes the decomposition views of `Q[S̄]`, reduces them to global
-/// consistency, and projects onto `S̄` — the "structural elimination" of the
-/// variables outside `S̄` (Theorem 6.6 step 1). Returns the projected views
-/// plus the tree structure.
-#[allow(clippy::type_complexity)]
-fn sbar_views(
-    sd: &SharpDecomposition,
-    db: &Database,
-) -> (
-    Vec<Bindings>,
-    Vec<Option<usize>>,
-    Vec<Vec<usize>>,
-    Vec<usize>,
-) {
-    let (complete, mut views) = crate::ps::completed_views(&sd.qprime, db, &sd.hypertree);
-    full_reduce(&mut views, &complete.parent, &complete.order);
-    let sbar_cols: Vec<u32> = sd.qprime.free().iter().map(|v| v.node()).collect();
-    let projected: Vec<Bindings> = views
-        .into_iter()
-        .map(|v| v.into_project(&sbar_cols))
-        .collect();
-    (
-        projected,
-        complete.parent,
-        complete.children,
-        complete.order,
-    )
-}
-
 /// Computes the degree value of a candidate `⟨HD, S̄⟩` w.r.t. the *original*
 /// free variables: the maximum, over the decomposition vertices, of the
 /// number of extensions of a free-variable assignment within
-/// `π_{χ(p) ∩ S̄}(r_p)`.
+/// `π_{χ(p) ∩ S̄}(r_p)` — the views of `Q[S̄]` after the structural
+/// elimination of the variables outside `S̄` (Theorem 6.6 step 1,
+/// [`free_views`]).
 fn degree_of(sd: &SharpDecomposition, db: &Database, free_cols: &[u32]) -> usize {
-    let (projected, ..) = sbar_views(sd, db);
-    projected
+    free_views(&sd.qprime, db, &sd.hypertree)
+        .views
         .iter()
         .map(|v| v.degree_wrt(free_cols))
         .max()
@@ -203,12 +175,19 @@ pub fn hybrid_decomposition_guided(
 /// with the original free variables (cost exponential in the degree bound
 /// only).
 pub fn count_hybrid_with(q: &ConjunctiveQuery, db: &Database, hd: &HybridDecomposition) -> Natural {
-    let (projected, parent, children, order) = sbar_views(&hd.sharp, db);
-    if projected.iter().any(Bindings::is_empty) {
+    let cv = free_views(&hd.sharp.qprime, db, &hd.sharp.hypertree);
+    if cv.views.iter().any(Bindings::is_empty) {
         return Natural::ZERO;
     }
     let free_cols: Vec<u32> = q.free().iter().map(|v| v.node()).collect();
-    count_sharp_relations_views(&projected, &parent, &children, &order, &free_cols)
+    let tree = &cv.tree;
+    count_sharp_relations_views(
+        &cv.views,
+        &tree.parent,
+        &tree.children,
+        &tree.order,
+        &free_cols,
+    )
 }
 
 /// Convenience: search (width `k`, degree threshold `b`) and count.

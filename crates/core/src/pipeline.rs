@@ -6,27 +6,32 @@
 //!
 //! 1. materialize the per-vertex views `r_p = π_{χ(p)}(⋈ λ(p))` (after
 //!    *completing* the decomposition so every atom is enforced) — leapfrog
-//!    on bags whose λ-atoms are cyclic, binary sort-merge joins elsewhere
-//!    ([`crate::sharp::wcoj_applies`]);
+//!    on bags whose λ-atoms are cyclic, a fold of binary hash join-projects
+//!    elsewhere ([`crate::sharp::wcoj_applies`]). A bag keeps only the
+//!    columns some other bag or the output reads: an existential variable
+//!    of one bag alone is projected out in the scan or the join, and a
+//!    one-atom neighbour inside a λ-atom (an *ear*) is semijoined into that
+//!    atom's scan before the join ([`crate::sharp::count_views`]);
 //! 2. run the full reducer along the decomposition tree — on the acyclic
 //!    bag schema this achieves global consistency, so afterwards
-//!    `r_p = π_{χ(p)}(Q'^D)` exactly. A *full* query (`free(Q') =
+//!    `r_p = π_{keep(p)}(Q'^D)` exactly. A *full* query (`free(Q') =
 //!    vars(Q')`) skips this step and the next: it projects nothing away,
 //!    and the step-4 DP is exact on unreduced views (a dangling row finds
 //!    no child key and contributes 0);
 //! 3. project every view (and the tree) onto the free variables — because
 //!    all frontiers are covered, the projected acyclic instance's join is
 //!    exactly `π_free(Q'^D)` (each `[free]`-component of existential
-//!    variables re-extends independently through its frontier);
+//!    variables re-extends independently through its frontier). Steps 1–3
+//!    are [`crate::sharp::free_views`], which the hybrid rung and the
+//!    enumerator share;
 //! 4. count the join of the projected instance with the quantifier-free
 //!    acyclic DP.
 
 use crate::acyclic::count_over_tree;
-use crate::sharp::SharpDecomposition;
+use crate::sharp::{count_views, free_views, CountViews, SharpDecomposition};
 use cqcount_arith::Natural;
 use cqcount_decomp::Hypertree;
 use cqcount_query::ConjunctiveQuery;
-use cqcount_relational::consistency::full_reduce;
 use cqcount_relational::{Bindings, Database};
 
 /// Counts `|π_free(Q')(Q'^D)|` given a decomposition of `Q'` whose bags
@@ -37,27 +42,33 @@ pub fn count_with_decomposition(
     db: &Database,
     ht: &Hypertree,
 ) -> Natural {
-    let (complete, mut views) = crate::ps::completed_views(qprime, db, ht);
+    count_decomposed(qprime, db, ht).0
+}
+
+/// [`count_with_decomposition`], also returning the bag views it counted
+/// over (for their `cols_dropped` and `ear_rows_dropped`).
+pub(crate) fn count_decomposed(
+    qprime: &ConjunctiveQuery,
+    db: &Database,
+    ht: &Hypertree,
+) -> (Natural, CountViews) {
     // A full query projects nothing away, and the DP is exact on unreduced
     // views: it skips steps 2 and 3.
-    if !qprime.existential().is_empty() {
-        full_reduce(&mut views, &complete.parent, &complete.order);
-        if views.iter().any(Bindings::is_empty) {
-            return Natural::ZERO;
-        }
-        // Step 3: project every view onto the free variables.
-        let free_cols: Vec<u32> = qprime.free().iter().map(|v| v.node()).collect();
-        views = views
-            .into_iter()
-            .map(|v| v.into_project(&free_cols))
-            .collect();
+    let cv = if qprime.existential().is_empty() {
+        count_views(qprime, db, ht)
+    } else {
+        free_views(qprime, db, ht)
+    };
+    if cv.views.iter().any(Bindings::is_empty) {
+        return (Natural::ZERO, cv);
     }
-    count_over_tree(
-        &views,
-        &complete.parent,
-        &complete.children,
-        &complete.order,
-    )
+    let n = count_over_tree(
+        &cv.views,
+        &cv.tree.parent,
+        &cv.tree.children,
+        &cv.tree.order,
+    );
+    (n, cv)
 }
 
 /// Theorem 1.3 end to end: computes a width-≤`max_k` `#`-hypertree

@@ -12,7 +12,7 @@ use crate::brute::count_brute_force_budgeted;
 use crate::budget::Budget;
 use crate::error::PlanError;
 use crate::hybrid::count_hybrid;
-use crate::pipeline::count_with_decomposition;
+use crate::pipeline::count_decomposed;
 use crate::sharp::SharpDecomposition;
 use crate::width_search::WidthSearch;
 
@@ -210,7 +210,11 @@ pub fn count_prepared(
         if sp.is_armed() {
             sp.add("width", sd.width as u64);
         }
-        let n = count_with_decomposition(&sd.qprime, db, &sd.hypertree);
+        let (n, cv) = count_decomposed(&sd.qprime, db, &sd.hypertree);
+        if sp.is_armed() {
+            sp.add("cols_dropped", cv.cols_dropped as u64);
+            sp.add("ear_rows_dropped", cv.ear_rows_dropped as u64);
+        }
         budget.check()?;
         return Ok((n, Plan::SharpPipeline { width: sd.width }));
     }

@@ -3,10 +3,11 @@
 
 use cqcount_decomp::{tree_projection, Hypertree};
 use cqcount_hypergraph::{frontier_hypergraph, is_acyclic, Hypergraph, NodeSet};
-use cqcount_query::canonical::atom_bindings;
+use cqcount_query::canonical::{atom_bindings, atom_bindings_projected};
 use cqcount_query::color::{color, uncolor};
 use cqcount_query::hom::has_homomorphism;
 use cqcount_query::{Atom, ConjunctiveQuery, Term};
+use cqcount_relational::consistency::full_reduce;
 use cqcount_relational::{wcoj_join, Bindings, Database, Relation, WcojInput};
 
 /// A `#`-hypertree decomposition (or a `#`-decomposition w.r.t. views):
@@ -135,34 +136,198 @@ pub fn sharp_decomposition_wrt_views(
     None
 }
 
-/// Total rows in the bags' λ-relations below which [`bag_views`]
+/// Total rows in the bags' λ-relations below which the bag builder
 /// builds every bag on the calling thread: on small inputs spawning lanes
 /// costs more than the bags it would overlap.
 const PAR_MIN_ROWS: usize = 4096;
 
-/// Materializes the per-vertex relations `r_p = π_{χ(p)}(⋈_{a ∈ λ(p)} a^D)`
-/// of a decomposition whose `λ` indexes `q`'s atoms. Each bag is joined by
-/// the leapfrog multiway intersection when [`wcoj_applies`], else by a fold
-/// of binary sort-merge joins.
+/// Materializes the textbook per-vertex relations
+/// `r_p = π_{χ(p)}(⋈_{a ∈ λ(p)} a^D)` of a decomposition whose `λ` indexes
+/// `q`'s atoms. Each bag is joined by the leapfrog multiway intersection
+/// when [`wcoj_applies`], else by a fold of binary hash join-projects.
+/// The #-relations of [`crate::ps`] and the degree bound of Definition 6.1
+/// read these; a count builds the narrower [`count_views`].
 pub fn bag_views(q: &ConjunctiveQuery, db: &Database, ht: &Hypertree) -> Vec<Bindings> {
-    let build = |&p: &usize| {
-        let chi_cols: Vec<u32> = ht.chi[p].to_vec();
-        let lam = &ht.lambda[p];
-        if wcoj_applies(q, lam) {
-            return wcoj_bag(q, db, lam).into_project(&chi_cols);
+    build_bags(q, db, ht, &BagPlan::textbook(q, ht, atom_nodesets(q)))
+        .into_iter()
+        .map(|(view, _)| view)
+        .collect()
+}
+
+/// The views one count reads, over its completed decomposition: step 1 of
+/// Theorem 3.7 ([`count_views`]), optionally followed by steps 2–3
+/// ([`free_views`]).
+#[derive(Debug)]
+pub struct CountViews {
+    /// The decomposition completed so every atom sits in some bag.
+    pub tree: Hypertree,
+    /// One view per vertex of `tree`.
+    pub views: Vec<Bindings>,
+    /// Bag-local existential columns that were never materialized.
+    pub cols_dropped: usize,
+    /// Scan rows removed by absorbed ears before any join.
+    pub ear_rows_dropped: usize,
+}
+
+/// Step 1 of Theorem 3.7 over `ht` completed for `q`: every bag `p` keeps
+/// only `keep(p) = χ(p) ∩ (free(q) ∪ ⋃_{o≠p} χ(o))`, dropping each
+/// variable that occurs in `p` alone and is existential — in the scan of a
+/// one-atom bag, in the join-projects of a binary bag, after the leapfrog
+/// join of a cyclic one. Before a binary bag joins, each λ-scan is also
+/// semijoined with every adjacent one-atom bag (an *ear*) whose variables
+/// lie inside that λ-atom.
+///
+/// Both are sound: the reducer's semijoins read only `χ(p) ∩ χ(o) ⊆
+/// keep(p)`, and an ear removes only rows no answer extends. So after
+/// [`full_reduce`] and the projection onto `free(q)` every view is the same
+/// set as from the textbook [`bag_views`]. A full query keeps every `χ(p)`.
+pub fn count_views(q: &ConjunctiveQuery, db: &Database, ht: &Hypertree) -> CountViews {
+    let atom_nodes = atom_nodesets(q);
+    let tree = ht.complete(&(0..q.atoms().len()).collect::<Vec<_>>(), &atom_nodes);
+    let plan = BagPlan::count(q, &tree, atom_nodes);
+    let cols_dropped = tree
+        .chi
+        .iter()
+        .zip(&plan.keep)
+        .map(|(chi, keep)| chi.len() - keep.len())
+        .sum();
+    let (views, ear_rows): (Vec<Bindings>, Vec<usize>) =
+        build_bags(q, db, &tree, &plan).into_iter().unzip();
+    CountViews {
+        tree,
+        views,
+        cols_dropped,
+        ear_rows_dropped: ear_rows.into_iter().sum(),
+    }
+}
+
+/// Steps 1–3 of Theorem 3.7: [`count_views`], reduced to global
+/// consistency with the full reducer and projected onto `free(q)`. The
+/// pipeline, the hybrid's structural elimination and the enumerator all
+/// read these.
+pub fn free_views(q: &ConjunctiveQuery, db: &Database, ht: &Hypertree) -> CountViews {
+    let mut cv = count_views(q, db, ht);
+    full_reduce(&mut cv.views, &cv.tree.parent, &cv.tree.order);
+    let free_cols: Vec<u32> = q.free().iter().map(|v| v.node()).collect();
+    cv.views = cv
+        .views
+        .into_iter()
+        .map(|v| v.into_project(&free_cols))
+        .collect();
+    cv
+}
+
+/// What the bag builder does with each bag: which kernel joins it, which
+/// columns it keeps, and which ears each λ-scan absorbs.
+struct BagPlan {
+    /// The variables of every atom of the query, as columns.
+    atom_nodes: Vec<NodeSet>,
+    /// Per vertex, whether [`wcoj_applies`].
+    leapfrog: Vec<bool>,
+    /// Per vertex, the columns its view keeps (ascending, ⊆ χ(p)).
+    keep: Vec<Vec<u32>>,
+    /// Per vertex and λ position, the atoms that scan is semijoined with.
+    ears: Vec<Vec<Vec<usize>>>,
+}
+
+impl BagPlan {
+    /// Every bag keeps χ and absorbs nothing: the textbook `r_p`.
+    fn textbook(q: &ConjunctiveQuery, ht: &Hypertree, atom_nodes: Vec<NodeSet>) -> BagPlan {
+        BagPlan {
+            atom_nodes,
+            leapfrog: ht.lambda.iter().map(|lam| wcoj_applies(q, lam)).collect(),
+            keep: ht.chi.iter().map(NodeSet::to_vec).collect(),
+            ears: ht
+                .lambda
+                .iter()
+                .map(|lam| vec![Vec::new(); lam.len()])
+                .collect(),
         }
-        // The fold starts from the first λ-atom itself, so a one-atom bag
-        // is its scan, moved through a projection that drops nothing.
-        let scan = |&ai: &usize| atom_bindings(&q.atoms()[ai], db);
-        let mut atoms = lam.iter();
-        let first = atoms.next().map_or_else(Bindings::unit, scan);
-        atoms
-            .fold(first, |acc, ai| acc.join(&scan(ai)))
-            .into_project(&chi_cols)
+    }
+
+    /// The count's plan over the completed `tree` (see [`count_views`]).
+    fn count(q: &ConjunctiveQuery, tree: &Hypertree, atom_nodes: Vec<NodeSet>) -> BagPlan {
+        let mut plan = BagPlan::textbook(q, tree, atom_nodes);
+        let free = q.free_nodes();
+        for (p, keep) in plan.keep.iter_mut().enumerate() {
+            keep.retain(|&x| {
+                free.contains(x)
+                    || tree
+                        .chi
+                        .iter()
+                        .enumerate()
+                        .any(|(o, other)| o != p && other.contains(x))
+            });
+        }
+        for (p, lam) in tree.lambda.iter().enumerate() {
+            if lam.len() < 2 || plan.leapfrog[p] {
+                continue;
+            }
+            let neighbours = tree.parent[p].iter().chain(&tree.children[p]);
+            for &o in neighbours {
+                let &[ear] = tree.lambda[o].as_slice() else {
+                    continue;
+                };
+                let vars = &plan.atom_nodes[ear];
+                if lam.contains(&ear) || vars.is_empty() {
+                    continue;
+                }
+                if let Some(i) = lam
+                    .iter()
+                    .position(|&ai| vars.is_subset(&plan.atom_nodes[ai]))
+                {
+                    if !plan.ears[p][i].contains(&ear) {
+                        plan.ears[p][i].push(ear);
+                    }
+                }
+            }
+        }
+        plan
+    }
+}
+
+/// Builds every vertex's view under `plan`, with the ear rows each bag's
+/// scans dropped. One independent build per tree vertex: this is the count
+/// path's only parallel call, and only large inputs take it; results come
+/// back in vertex order either way.
+fn build_bags(
+    q: &ConjunctiveQuery,
+    db: &Database,
+    ht: &Hypertree,
+    plan: &BagPlan,
+) -> Vec<(Bindings, usize)> {
+    let build = |&p: &usize| {
+        let keep = &plan.keep[p];
+        let lam = &ht.lambda[p];
+        if plan.leapfrog[p] {
+            return (wcoj_bag(q, db, lam).into_project(keep), 0);
+        }
+        let atom = |ai: usize| &q.atoms()[ai];
+        let vars = |ai: usize| plan.atom_nodes[ai].iter();
+        let mut ear_rows = 0;
+        let mut view: Option<Bindings> = None;
+        for (i, &ai) in lam.iter().enumerate() {
+            // A column survives this step if the bag keeps it or a later
+            // λ-atom joins on it; the scan also keeps what an ear and the
+            // joins so far read.
+            let mut step_keep: Vec<u32> = keep.clone();
+            step_keep.extend(lam[i + 1..].iter().flat_map(|&aj| vars(aj)));
+            let mut scan_keep = step_keep.clone();
+            scan_keep.extend(lam[..i].iter().flat_map(|&aj| vars(aj)));
+            scan_keep.extend(plan.ears[p][i].iter().flat_map(|&e| vars(e)));
+            let mut scan = atom_bindings_projected(atom(ai), db, &scan_keep);
+            for &e in &plan.ears[p][i] {
+                let before = scan.len();
+                scan.semijoin_in_place(&atom_bindings(atom(e), db));
+                ear_rows += before - scan.len();
+            }
+            view = Some(match view {
+                None => scan,
+                Some(acc) => acc.join_project(&scan, &step_keep),
+            });
+        }
+        (view.unwrap_or_else(Bindings::unit), ear_rows)
     };
-    // One independent join-then-project per tree vertex. This is the count
-    // path's only parallel call, and only large inputs take it; results come
-    // back in vertex order either way.
     let vertices: Vec<usize> = (0..ht.len()).collect();
     let lambda_rows: usize = ht
         .lambda
@@ -180,7 +345,7 @@ pub fn bag_views(q: &ConjunctiveQuery, db: &Database, ht: &Hypertree) -> Vec<Bin
 /// Does [`bag_views`] join this bag's λ-atoms with the leapfrog kernel?
 /// Exactly when they form a cyclic hypergraph — where a binary join order
 /// must materialize an intermediate larger than the AGM-bounded output.
-/// Acyclic bags take the binary sort-merge fold.
+/// Acyclic bags take the fold of binary hash join-projects.
 pub fn wcoj_applies(q: &ConjunctiveQuery, lam: &[usize]) -> bool {
     lam.len() >= 2 && {
         let h = Hypergraph::from_edges(lam.iter().map(|&ai| {

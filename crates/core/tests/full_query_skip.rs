@@ -3,7 +3,8 @@
 //! row finds no child key and contributes 0. These tests hold that path
 //! to brute force and the full-join oracle on instances where every bag
 //! holds dangling rows, and check from the span tree that a full count
-//! runs no semijoin while a projected one runs both reducer sweeps.
+//! runs no semijoin while a projected one runs both reducer sweeps (and
+//! one semijoin per absorbed ear).
 
 use cqcount_arith::prng::Rng;
 use cqcount_arith::Natural;
@@ -164,18 +165,27 @@ fn full_counts_skip_the_reducer_and_projected_counts_run_both_sweeps() {
         assert!(bags >= 2, "{src}: a one-bag tree proves nothing");
         assert_eq!(semijoins, 0, "{src}: a full count ran the reducer");
     }
-    for (src, db) in [
-        ("ans(A) :- r(A, B), s(B, C), t(C, D).", &chain),
-        ("ans(A, D) :- r(A, B), s(B, C), t(C, D).", &chain),
-        ("ans(X) :- e(X, Y), e(Y, Z), e(Z, X).", &tri),
+    // `ans(A, C)` over the unary `t` builds one {r, s} bag, and the one-atom
+    // bag t(C) beside it is an ear: its semijoin into the s-scan comes on
+    // top of the reducer's.
+    let ear = db_of(
+        "r(a1, b1). r(a2, b2). r(a3, b9).
+         s(b1, c1). s(b2, c2). s(b7, c1). s(b2, c3).
+         t(c1). t(c3). t(c8).",
+    );
+    for (src, db, ears) in [
+        ("ans(A) :- r(A, B), s(B, C), t(C, D).", &chain, 0),
+        ("ans(A, D) :- r(A, B), s(B, C), t(C, D).", &chain, 0),
+        ("ans(X) :- e(X, Y), e(Y, Z), e(Z, X).", &tri, 0),
+        ("ans(A, C) :- r(A, B), s(B, C), t(C).", &ear, 1),
     ] {
         let (semijoins, bags, roots) = traced_semijoins(src, db);
         assert!(bags >= 2, "{src}: a one-bag tree proves nothing");
         assert_eq!(roots, 1, "{src}: the completed tree is connected");
         assert_eq!(
             semijoins,
-            2 * (bags - 1),
-            "{src}: one per tree edge and sweep"
+            2 * (bags - 1) + ears,
+            "{src}: one per tree edge and sweep, and one per ear"
         );
     }
 }

@@ -39,7 +39,22 @@ pub fn canonical_database(q: &ConjunctiveQuery) -> Database {
 /// equal). A missing relation, an arity mismatch with the stored relation,
 /// or an unknown constant yields the empty set.
 pub fn atom_bindings(atom: &Atom, db: &Database) -> Bindings {
-    let cols: Vec<u32> = atom.vars().iter().map(|v| v.node()).collect();
+    scan_atom(atom, db, None)
+}
+
+/// [`atom_bindings`] projected onto the columns in `keep`, in the same
+/// scan: the dropped columns are never materialized.
+pub fn atom_bindings_projected(atom: &Atom, db: &Database, keep: &[u32]) -> Bindings {
+    scan_atom(atom, db, Some(keep))
+}
+
+fn scan_atom(atom: &Atom, db: &Database, keep: Option<&[u32]>) -> Bindings {
+    let cols: Vec<u32> = atom
+        .vars()
+        .iter()
+        .map(|v| v.node())
+        .filter(|c| keep.is_none_or(|keep| keep.contains(c)))
+        .collect();
     let Some(rel) = db.relation(&atom.rel) else {
         return Bindings::empty(cols);
     };
@@ -56,7 +71,10 @@ pub fn atom_bindings(atom: &Atom, db: &Database) -> Bindings {
             },
         }
     }
-    Bindings::from_atom(rel, &col_terms)
+    match keep {
+        Some(keep) => Bindings::from_atom_projected(rel, &col_terms, keep),
+        None => Bindings::from_atom(rel, &col_terms),
+    }
 }
 
 #[cfg(test)]

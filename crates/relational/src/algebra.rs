@@ -12,24 +12,31 @@
 //!
 //! # Kernel design
 //!
-//! The join and grouping kernels never materialize per-row keys. Each
-//! operation first builds a small *plan* from the two (sorted) column lists
-//! — shared positions, output layout — and then works on the rows through
-//! position-indexed comparators over borrowed slices. Joins run as
-//! sort-merge over key-grouped row indices; when the shared columns are a
-//! prefix of a side's column list, the canonical row order *is* key order
-//! and the grouping sort is skipped entirely (the sort-merge fast path).
+//! Every kernel keys rows through position plans built once from the two
+//! (sorted) column lists, and packs a key of up to four columns into one
+//! `u128` — a `Value` is a `u32`, so the packing is exact — falling back
+//! to a materialized `Tuple` key beyond that.
 //!
-//! Semijoins hash instead: the probe side's shared-column key is hashed
-//! once — packed into one `u128` for up to four columns, materialized
-//! exactly beyond that — and each kept-side row is a single set lookup.
-//! The in-place form [`Bindings::semijoin_in_place`] `retain`s the
-//! matching rows, so the full reducer shrinks views without copying a row.
-//! Every kernel runs sequentially on the calling thread: counting
-//! parallelizes across decomposition bags (`cqcount_core::sharp`), never
-//! inside one operator, so there is no chunking and nothing to stitch.
+//! There is one binary join, [`Bindings::join_project`]: it hashes the
+//! smaller side on the shared-column key (grouping its row indices by key,
+//! with no per-key allocation), streams the larger side through that
+//! index, and emits only the columns the caller keeps. A smaller side of a
+//! few rows is compared in a nested loop instead of hashed. When at most four
+//! columns survive, each emitted row is one packed `u128`; a
+//! `sort_unstable` + `dedup` of those integers is then the canonical row
+//! order, whatever order the hash probe produced them in, and they unpack
+//! into tuples once per distinct row. Wider outputs are canonicalized as
+//! tuples. [`Bindings::join`] is the same kernel keeping every column.
+//!
+//! Semijoins hash the probe side's key once, and each kept-side row is a
+//! single set lookup. The in-place form [`Bindings::semijoin_in_place`]
+//! `retain`s the matching rows, so the full reducer shrinks views without
+//! copying a row. Every kernel runs sequentially on the calling thread:
+//! counting parallelizes across decomposition bags (`cqcount_core::sharp`),
+//! never inside one operator, so there is no chunking and nothing to
+//! stitch.
 
-use crate::fxhash::FxHashSet;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::{Col, Relation, Tuple, Value};
 use cqcount_obs as obs;
 use std::borrow::Cow;
@@ -107,70 +114,6 @@ fn key_groups(rows: &[Tuple], positions: &[usize]) -> (Vec<u32>, Vec<(u32, u32)>
         }
     }
     (order, groups)
-}
-
-/// Precomputed layout for `self ⋈ other`: shared key positions on both
-/// sides and, for every output column (sorted union), which side and
-/// position it is read from.
-struct JoinPlan {
-    lpos: Vec<usize>,
-    rpos: Vec<usize>,
-    out_cols: Vec<Col>,
-    /// `(from_left, position)` per output column, in output order.
-    emit: Vec<(bool, usize)>,
-}
-
-impl JoinPlan {
-    fn new(lcols: &[Col], rcols: &[Col]) -> JoinPlan {
-        let mut plan = JoinPlan {
-            lpos: Vec::new(),
-            rpos: Vec::new(),
-            out_cols: Vec::with_capacity(lcols.len() + rcols.len()),
-            emit: Vec::with_capacity(lcols.len() + rcols.len()),
-        };
-        let (mut i, mut j) = (0, 0);
-        while i < lcols.len() && j < rcols.len() {
-            match lcols[i].cmp(&rcols[j]) {
-                Ordering::Less => {
-                    plan.out_cols.push(lcols[i]);
-                    plan.emit.push((true, i));
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    plan.out_cols.push(rcols[j]);
-                    plan.emit.push((false, j));
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    plan.lpos.push(i);
-                    plan.rpos.push(j);
-                    plan.out_cols.push(lcols[i]);
-                    plan.emit.push((true, i));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        for (p, &c) in lcols.iter().enumerate().skip(i) {
-            plan.out_cols.push(c);
-            plan.emit.push((true, p));
-        }
-        for (p, &c) in rcols.iter().enumerate().skip(j) {
-            plan.out_cols.push(c);
-            plan.emit.push((false, p));
-        }
-        plan
-    }
-
-    /// Emits the combined tuple for a matched row pair, directly in output
-    /// column order — one allocation per output row, nothing else.
-    #[inline]
-    fn emit_row(&self, lrow: &[Value], rrow: &[Value]) -> Tuple {
-        self.emit
-            .iter()
-            .map(|&(from_left, p)| if from_left { lrow[p] } else { rrow[p] })
-            .collect()
-    }
 }
 
 /// Both projection forms under the one `algebra.project` span.
@@ -277,6 +220,189 @@ impl SemijoinProbe {
     }
 }
 
+/// Which side and position each kept output column of a join is read
+/// from, in output (ascending column) order. A shared column is read from
+/// the build side.
+struct JoinEmit {
+    cols: Vec<Col>,
+    /// `(from_build, position)` per output column.
+    from: Vec<(bool, usize)>,
+}
+
+impl JoinEmit {
+    /// Walks the two ascending column lists in step, keeping the columns in
+    /// `keep` (every column when it is `None`).
+    fn new(bcols: &[Col], pcols: &[Col], keep: Option<&[Col]>) -> JoinEmit {
+        let mut emit = JoinEmit {
+            cols: Vec::with_capacity(bcols.len() + pcols.len()),
+            from: Vec::with_capacity(bcols.len() + pcols.len()),
+        };
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let (col, side) = match (bcols.get(i), pcols.get(j)) {
+                (Some(&b), Some(&p)) if b <= p => {
+                    j += usize::from(b == p);
+                    i += 1;
+                    (b, (true, i - 1))
+                }
+                (_, Some(&p)) => {
+                    j += 1;
+                    (p, (false, j - 1))
+                }
+                (Some(&b), None) => {
+                    i += 1;
+                    (b, (true, i - 1))
+                }
+                (None, None) => break,
+            };
+            if keep.is_none_or(|keep| keep.contains(&col)) {
+                emit.cols.push(col);
+                emit.from.push(side);
+            }
+        }
+        emit
+    }
+
+    #[inline]
+    fn value(&self, k: usize, brow: &[Value], prow: &[Value]) -> Value {
+        match self.from[k] {
+            (true, p) => brow[p],
+            (false, p) => prow[p],
+        }
+    }
+}
+
+/// A join's output rows as they are emitted: packed into one `u128` each
+/// when at most four columns are kept, else as tuples.
+enum Emitted {
+    Packed(Vec<u128>),
+    Wide(Vec<Tuple>),
+}
+
+impl Emitted {
+    fn new(width: usize) -> Emitted {
+        if width <= 4 {
+            Emitted::Packed(Vec::new())
+        } else {
+            Emitted::Wide(Vec::new())
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, emit: &JoinEmit, brow: &[Value], prow: &[Value]) {
+        let n = emit.from.len();
+        match self {
+            Emitted::Packed(keys) => keys.push((0..n).fold(0, |key, k| {
+                (key << 32) | u128::from(emit.value(k, brow, prow).0)
+            })),
+            Emitted::Wide(rows) => rows.push((0..n).map(|k| emit.value(k, brow, prow)).collect()),
+        }
+    }
+
+    /// Canonicalizes the emitted rows. Packing puts the first column in the
+    /// highest bits, so integer order is lexicographic row order.
+    fn finish(self, cols: Vec<Col>) -> Bindings {
+        match self {
+            Emitted::Packed(mut keys) => {
+                keys.sort_unstable();
+                keys.dedup();
+                let n = cols.len();
+                let rows = keys
+                    .into_iter()
+                    .map(|key| {
+                        (0..n)
+                            .map(|k| Value((key >> (32 * (n - 1 - k))) as u32))
+                            .collect()
+                    })
+                    .collect();
+                Bindings::from_sorted_rows(cols, rows)
+            }
+            Emitted::Wide(rows) => Bindings::from_parts(cols, rows),
+        }
+    }
+}
+
+/// Build sides up to this many rows are joined by comparing keys in a
+/// nested loop: on the handful of rows a small database's bags hold, the
+/// hash index costs more to allocate than it saves.
+const NESTED_LOOP_MAX: usize = 8;
+
+/// [`Bindings::join_project`] on a small build side: every probe row is
+/// compared with every build row on the shared positions. Returns the
+/// number of matched pairs.
+fn nested_loop_join(
+    build: &Bindings,
+    probe: &Bindings,
+    bpos: &[usize],
+    ppos: &[usize],
+    mut emit: impl FnMut(&[Value], &[Value]),
+) -> u64 {
+    let mut pairs = 0;
+    for prow in &probe.rows {
+        for brow in &build.rows {
+            if bpos.iter().zip(ppos).all(|(&b, &p)| brow[b] == prow[p]) {
+                pairs += 1;
+                emit(brow, prow);
+            }
+        }
+    }
+    pairs
+}
+
+/// The hash probe behind [`Bindings::join_project`]: groups `build`'s row
+/// indices by key in one flat array (a key → group map, then per-group
+/// offsets), streams `probe` through the groups and calls `emit` on every
+/// matched pair. Returns the number of pairs.
+fn hash_join<K: std::hash::Hash + Eq>(
+    build: &Bindings,
+    probe: &Bindings,
+    build_key: impl Fn(&[Value]) -> K,
+    probe_key: impl Fn(&[Value]) -> K,
+    mut emit: impl FnMut(&[Value], &[Value]),
+) -> u64 {
+    if build.rows.is_empty() || probe.rows.is_empty() {
+        return 0;
+    }
+    let mut group_of: FxHashMap<K, u32> = FxHashMap::default();
+    let mut row_group: Vec<u32> = Vec::with_capacity(build.rows.len());
+    let mut sizes: Vec<u32> = Vec::new();
+    for row in &build.rows {
+        let next = sizes.len() as u32;
+        let g = *group_of.entry(build_key(row)).or_insert(next);
+        if g == next {
+            sizes.push(0);
+        }
+        sizes[g as usize] += 1;
+        row_group.push(g);
+    }
+    // starts[g]..starts[g + 1] are group g's rows in `members`.
+    let mut starts: Vec<u32> = Vec::with_capacity(sizes.len() + 1);
+    let mut at = 0;
+    starts.push(at);
+    for &n in &sizes {
+        at += n;
+        starts.push(at);
+    }
+    let mut fill = starts.clone();
+    let mut members = vec![0u32; build.rows.len()];
+    for (i, &g) in row_group.iter().enumerate() {
+        members[fill[g as usize] as usize] = i as u32;
+        fill[g as usize] += 1;
+    }
+    let mut pairs = 0u64;
+    for prow in &probe.rows {
+        let Some(&g) = group_of.get(&probe_key(prow)) else {
+            continue;
+        };
+        let group = &members[starts[g as usize] as usize..starts[g as usize + 1] as usize];
+        pairs += group.len() as u64;
+        for &bi in group {
+            emit(&build.rows[bi as usize], prow);
+        }
+    }
+    pairs
+}
+
 impl Bindings {
     /// The unit: zero columns, one (empty) substitution. Identity for ⋈.
     pub fn unit() -> Bindings {
@@ -339,6 +465,17 @@ impl Bindings {
     ///
     /// Panics if `terms.len() != relation.arity()`.
     pub fn from_atom(relation: &Relation, terms: &[ColTerm]) -> Bindings {
+        Bindings::scan(relation, terms, None)
+    }
+
+    /// The scan `π_keep` of [`Bindings::from_atom`] in one pass: a column
+    /// outside `keep` is matched and checked like any other but never
+    /// emitted.
+    pub fn from_atom_projected(relation: &Relation, terms: &[ColTerm], keep: &[Col]) -> Bindings {
+        Bindings::scan(relation, terms, Some(keep))
+    }
+
+    fn scan(relation: &Relation, terms: &[ColTerm], keep: Option<&[Col]>) -> Bindings {
         assert_eq!(terms.len(), relation.arity(), "atom arity mismatch");
         let sp = obs::trace::span("algebra.scan");
         if sp.is_armed() {
@@ -368,8 +505,10 @@ impl Bindings {
                 },
             }
         }
-        // Emit rows directly in sorted column order.
-        let mut order: Vec<usize> = (0..cols.len()).collect();
+        // Emit the kept columns directly in sorted column order.
+        let mut order: Vec<usize> = (0..cols.len())
+            .filter(|&i| keep.is_none_or(|keep| keep.contains(&cols[i])))
+            .collect();
         order.sort_unstable_by_key(|&i| cols[i]);
         let sorted_cols: Vec<Col> = order.iter().map(|&i| cols[i]).collect();
         let emit_pos: Vec<usize> = order.iter().map(|&i| first_pos[i]).collect();
@@ -440,74 +579,64 @@ impl Bindings {
         (left, right)
     }
 
-    /// Natural join `self ⋈ other` — sort-merge over key-grouped row
-    /// indices. No per-row key tuples are ever allocated: grouping and the
-    /// merge compare values in place through the position plans, and each
-    /// output row is built in one shot in canonical column order.
+    /// Natural join `self ⋈ other`: [`Bindings::join_project`] keeping
+    /// every column.
     pub fn join(&self, other: &Bindings) -> Bindings {
+        self.join_keeping(other, None)
+    }
+
+    /// Join-project `π_keep(self ⋈ other)` in one pass (columns of `keep`
+    /// present on neither side are ignored). The smaller side is grouped by
+    /// its shared-column key, the larger side streams through the groups,
+    /// and each matched pair emits only its kept columns, so a column the
+    /// caller drops is never materialized. The rows come back canonical
+    /// whatever the hash order.
+    pub fn join_project(&self, other: &Bindings, keep: &[Col]) -> Bindings {
+        self.join_keeping(other, Some(keep))
+    }
+
+    fn join_keeping(&self, other: &Bindings, keep: Option<&[Col]>) -> Bindings {
         let sp = obs::trace::span("algebra.join");
         if sp.is_armed() {
             sp.add("rows_left", self.rows.len() as u64);
             sp.add("rows_right", other.rows.len() as u64);
         }
-        let out = self.join_merge(other, &sp);
+        // Build on the smaller side; the output does not depend on which.
+        let (build, probe) = if self.rows.len() <= other.rows.len() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let (bpos, ppos) = build.shared_positions(probe);
+        let emit = JoinEmit::new(&build.cols, &probe.cols, keep);
+        let mut out = Emitted::new(emit.from.len());
+        let pairs = if build.rows.len() <= NESTED_LOOP_MAX {
+            nested_loop_join(build, probe, &bpos, &ppos, |b, p| out.push(&emit, b, p))
+        } else if bpos.len() <= 4 {
+            hash_join(
+                build,
+                probe,
+                |r| pack_key(r, &bpos),
+                |r| pack_key(r, &ppos),
+                |b, p| out.push(&emit, b, p),
+            )
+        } else {
+            let key = |r: &[Value], pos: &[usize]| -> Tuple { pos.iter().map(|&i| r[i]).collect() };
+            hash_join(
+                build,
+                probe,
+                |r| key(r, &bpos),
+                |r| key(r, &ppos),
+                |b, p| out.push(&emit, b, p),
+            )
+        };
+        let out = out.finish(emit.cols);
         if sp.is_armed() {
+            sp.add("pairs", pairs);
             sp.add("rows_out", out.rows.len() as u64);
             sp.add("bytes_out", bytes_of(&out));
         }
         out
-    }
-
-    fn join_merge(&self, other: &Bindings, sp: &obs::trace::Span) -> Bindings {
-        let plan = JoinPlan::new(&self.cols, &other.cols);
-        if plan.lpos.is_empty() {
-            return self.cross_product(other, &plan);
-        }
-        let (lorder, lgroups) = key_groups(&self.rows, &plan.lpos);
-        let (rorder, rgroups) = key_groups(&other.rows, &plan.rpos);
-        // Merge the two key-sorted group lists into matched group pairs.
-        let mut matches: Vec<((u32, u32), (u32, u32))> = Vec::new();
-        let mut comparisons = 0u64;
-        let (mut gi, mut gj) = (0, 0);
-        while gi < lgroups.len() && gj < rgroups.len() {
-            let lrow = &self.rows[lorder[lgroups[gi].0 as usize] as usize];
-            let rrow = &other.rows[rorder[rgroups[gj].0 as usize] as usize];
-            comparisons += 1;
-            match cmp_keys(lrow, &plan.lpos, rrow, &plan.rpos) {
-                Ordering::Less => gi += 1,
-                Ordering::Greater => gj += 1,
-                Ordering::Equal => {
-                    matches.push((lgroups[gi], rgroups[gj]));
-                    gi += 1;
-                    gj += 1;
-                }
-            }
-        }
-        if sp.is_armed() {
-            sp.add("merge_comparisons", comparisons);
-        }
-        // Emit the per-pair products of every matched group pair.
-        let mut rows = Vec::new();
-        for ((ls, le), (rs, re)) in matches {
-            for &li in &lorder[ls as usize..le as usize] {
-                let lrow = &self.rows[li as usize];
-                for &ri in &rorder[rs as usize..re as usize] {
-                    rows.push(plan.emit_row(lrow, &other.rows[ri as usize]));
-                }
-            }
-        }
-        Bindings::from_parts(plan.out_cols, rows)
-    }
-
-    /// Cartesian product (a join with no shared columns).
-    fn cross_product(&self, other: &Bindings, plan: &JoinPlan) -> Bindings {
-        let mut rows = Vec::with_capacity(self.rows.len() * other.rows.len());
-        for lrow in &self.rows {
-            for rrow in &other.rows {
-                rows.push(plan.emit_row(lrow, rrow));
-            }
-        }
-        Bindings::from_parts(plan.out_cols.clone(), rows)
     }
 
     /// Semijoin `self ⋉ other = π_{cols(self)}(self ⋈ other)`.
@@ -679,7 +808,7 @@ mod tests {
         Value(id)
     }
 
-    /// The straw-man hash join, kept as a test oracle for the sort-merge
+    /// The straw-man hash join, kept as a test oracle for the join-project
     /// kernel: hashes a materialized `Vec<Value>` key per row into a per-call
     /// table, then permutes each output row through a column order.
     fn join_hash_baseline(left: &Bindings, right: &Bindings) -> Bindings {
@@ -818,15 +947,15 @@ mod tests {
     }
 
     #[test]
-    fn join_prefix_fast_path_matches_general() {
+    fn join_on_prefix_and_suffix_keys() {
         // Shared column 1 is a prefix of the left (cols [1,2]) and of the
-        // right (cols [1,3]): both sides take the no-sort fast path.
+        // right (cols [1,3]).
         let l = b(&[1, 2], &[&[1, 10], &[1, 11], &[2, 20]]);
         let r = b(&[1, 3], &[&[1, 7], &[2, 8], &[2, 9]]);
         let j = l.join(&r);
         assert_eq!(j.cols(), &[1, 2, 3]);
         assert_eq!(j.len(), 4);
-        // Shared column 3 is a suffix on the left (cols [1,3]): general path.
+        // Shared column 3 is a suffix on the left (cols [1,3]).
         let l2 = b(&[1, 3], &[&[1, 7], &[2, 7], &[3, 8]]);
         let r2 = b(&[3], &[&[7]]);
         let j2 = l2.join(&r2);
@@ -908,6 +1037,27 @@ mod tests {
         assert_eq!(out.cols(), &[0]);
         assert_eq!(out.len(), 1);
         assert!(out.contains(&[v(1)]));
+    }
+
+    #[test]
+    fn from_atom_projected_equals_scan_then_project() {
+        let r = Relation::from_rows(vec![
+            vec![v(1), v(1), v(5)],
+            vec![v(1), v(2), v(5)],
+            vec![v(2), v(2), v(7)],
+            vec![v(3), v(2), v(5)],
+        ]);
+        for terms in [
+            [ColTerm::Var(4), ColTerm::Var(2), ColTerm::Var(9)],
+            [ColTerm::Var(4), ColTerm::Var(4), ColTerm::Var(9)],
+            [ColTerm::Var(4), ColTerm::Var(2), ColTerm::Const(v(5))],
+        ] {
+            let full = Bindings::from_atom(&r, &terms);
+            for keep in [&[2, 4, 9][..], &[2], &[9, 4], &[7], &[]] {
+                let projected = Bindings::from_atom_projected(&r, &terms, keep);
+                assert_eq!(projected, full.project(keep), "{terms:?} kept to {keep:?}");
+            }
+        }
     }
 
     #[test]
@@ -1060,6 +1210,129 @@ mod tests {
             assert_semijoin_parity(&l, &r);
             assert_semijoin_parity(&r, &l);
         }
+    }
+
+    /// `join_project` in both argument orders, and `join`, against the
+    /// hash baseline followed by `project`; every result is also computed
+    /// again at 1, 2 and 8 lanes and must come back row for row the same.
+    fn assert_join_parity(l: &Bindings, r: &Bindings, keep: &[Col]) {
+        let joined = join_hash_baseline(l, r);
+        let expect = joined.project(keep);
+        let got = l.join_project(r, keep);
+        assert_eq!(got, expect, "{l:?} ⋈ {r:?} kept to {keep:?}");
+        assert_eq!(r.join_project(l, keep), expect, "swapped sides");
+        assert_eq!(l.join(r), joined, "join of {l:?} ⋈ {r:?}");
+        for threads in [1, 2, 8] {
+            let again = cqcount_exec::with_threads(threads, || l.join_project(r, keep));
+            assert_eq!(again.rows(), got.rows(), "rerun at {threads} lanes");
+        }
+    }
+
+    /// `width` shared columns, and three private columns on either side
+    /// (so up to `width + 6` columns to keep).
+    fn join_sides(width: u32) -> (Vec<Col>, Vec<Col>) {
+        let shared: Vec<Col> = (0..width).map(|i| 10 + 2 * i).collect();
+        let mut lcols = shared.clone();
+        lcols.extend([0, 100, 102]);
+        let mut rcols = shared;
+        rcols.extend([1, 101, 103]);
+        (lcols, rcols)
+    }
+
+    #[test]
+    fn join_project_matches_hash_baseline_at_every_key_and_kept_width() {
+        use cqcount_arith::prng::Rng;
+        let cases = if cfg!(feature = "exhaustive-tests") {
+            120
+        } else {
+            12
+        };
+        let mut rng = Rng::seed_from_u64(0x101E);
+        // Key widths 0..=4 pack the key, 5 takes the wide key; kept widths
+        // 1..=4 pack the output rows, 5 and 6 take the wide output. Sides of
+        // up to 40 rows take both the nested loop (a side of ≤ 8 rows) and
+        // the hash probe.
+        for width in 0..=5u32 {
+            let (lcols, rcols) = join_sides(width);
+            let mut all: Vec<Col> = lcols.iter().chain(&rcols).copied().collect();
+            all.sort_unstable();
+            all.dedup();
+            for kept in 1..=6 {
+                for _ in 0..cases {
+                    let mut keep = all.clone();
+                    for i in (1..keep.len()).rev() {
+                        keep.swap(i, rng.range_usize(0, i + 1));
+                    }
+                    keep.truncate(kept);
+                    if rng.chance(0.3) {
+                        keep.push(999); // absent columns are ignored
+                    }
+                    let domain = rng.range_u32(1, 4);
+                    let (ln, rn) = (rng.range_usize(0, 40), rng.range_usize(0, 40));
+                    let l = random_bindings(&mut rng, &lcols, ln, domain);
+                    let r = random_bindings(&mut rng, &rcols, rn, domain);
+                    assert_join_parity(&l, &r, &keep);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn join_project_on_empty_unit_and_duplicate_keys() {
+        use cqcount_arith::prng::Rng;
+        let mut rng = Rng::seed_from_u64(0x7E57);
+        let x = random_bindings(&mut rng, &[1, 2, 3], 30, 3);
+        let unit = Bindings::unit();
+        for side in [
+            Bindings::empty(vec![2]),
+            Bindings::empty(vec![1, 2, 3]),
+            Bindings::empty(vec![7]),
+            Bindings::empty(vec![]),
+            unit.clone(),
+        ] {
+            for keep in [&[1, 2, 3, 7][..], &[2], &[3, 7], &[]] {
+                assert_join_parity(&x, &side, keep);
+            }
+        }
+        assert_eq!(x.join_project(&unit, &[2, 3]), x.project(&[2, 3]));
+        assert_eq!(unit.join_project(&unit, &[]), unit);
+        assert_join_parity(&unit, &unit, &[]);
+        // Heavy duplicate keys: thousands of rows over a two-value domain,
+        // against a small side and against an equally large one, at a
+        // packed and a wide key and output.
+        for width in [0u32, 1, 4, 5] {
+            let (lcols, rcols) = join_sides(width);
+            let big = random_bindings(&mut rng, &lcols, 3000, 2);
+            for (rows, keep) in [(5, vec![0, 1]), (3000, vec![0, 1, 100, 101, 102, 103])] {
+                let other = random_bindings(&mut rng, &rcols, rows, 2);
+                assert_join_parity(&big, &other, &keep);
+            }
+        }
+    }
+
+    #[test]
+    fn join_span_counts_pairs_and_rows() {
+        let l = b(&[1, 2], &[&[1, 10], &[2, 10], &[3, 20]]);
+        let r = b(&[2, 3], &[&[10, 100], &[10, 101], &[30, 300]]);
+        let _session = obs::trace::TraceSession::begin();
+        let root = obs::trace::span("test.join");
+        let id = root.id();
+        let out = l.join_project(&r, &[3]);
+        drop(root);
+        assert_eq!(out, b(&[3], &[&[100], &[101]]));
+        let records = obs::trace::collect(id);
+        let join = records
+            .iter()
+            .find(|r| r.name == "algebra.join")
+            .expect("the join opens its span");
+        let counter = |key: &str| {
+            join.counters
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|&(_, v)| v)
+        };
+        assert_eq!(counter("pairs"), Some(4), "four matched pairs");
+        assert_eq!(counter("rows_out"), Some(2), "two distinct kept rows");
     }
 
     #[test]

@@ -62,6 +62,13 @@ impl Hasher for FxHasher {
     fn write_usize(&mut self, i: usize) {
         self.add_to_hash(i as u64);
     }
+    /// The two halves low word first, as `write` would take the
+    /// little-endian bytes, without going through them.
+    #[inline]
+    fn write_u128(&mut self, i: u128) {
+        self.add_to_hash(i as u64);
+        self.add_to_hash((i >> 64) as u64);
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! * [`Relation`] — a positional relation (set of tuples of a fixed arity);
 //! * [`Database`] — named relations over a shared interner;
 //! * [`Bindings`] — a set of substitutions over a sorted list of columns
-//!   (variables), with sort-merge join, hash semijoin (also in place),
+//!   (variables), with a hash join-project, hash semijoin (also in place),
 //!   projection and selection;
 //! * [`consistency`] — the pairwise-consistency fixpoint used by local
 //!   consistency arguments (Lemma 4.3, Theorem 3.7) and the join-tree full

@@ -1,7 +1,7 @@
 //! Worst-case-optimal multiway join: a leapfrog-triejoin kernel over
 //! sorted row sets.
 //!
-//! The binary sort-merge kernel in [`crate::algebra`] materializes every
+//! The binary hash join in [`crate::algebra`] materializes every
 //! pairwise intermediate; on cyclic bags (triangle λ-sets and up) those
 //! intermediates can be quadratically larger than the bag's output, which
 //! is exactly the blowup worst-case-optimal joins avoid. This kernel

@@ -6,6 +6,113 @@ use cqcount::prelude::*;
 use cqcount::workloads::paper::*;
 use cqcount::workloads::random::{random_database, random_query, RandomCqConfig, RandomDbConfig};
 
+/// Theorem 3.7 steps 1–3 the textbook way: `r_p = π_χ(p)(⋈ λ(p))` over the
+/// completed tree, the full reducer, then the projection onto `free(Q')`.
+fn textbook_free_views(sd: &SharpDecomposition, db: &Database) -> Vec<Bindings> {
+    let q = &sd.qprime;
+    let atoms: Vec<NodeSet> = q
+        .atoms()
+        .iter()
+        .map(|a| a.vars().iter().map(|v| v.node()).collect())
+        .collect();
+    let tree = sd
+        .hypertree
+        .complete(&(0..atoms.len()).collect::<Vec<_>>(), &atoms);
+    let mut views = cqcount::core::sharp::bag_views(q, db, &tree);
+    cqcount::relational::consistency::full_reduce(&mut views, &tree.parent, &tree.order);
+    let free: Vec<u32> = q.free().iter().map(|v| v.node()).collect();
+    views.iter().map(|v| v.project(&free)).collect()
+}
+
+/// Every candidate `S̄` of Theorem 6.7's search on the Q0 heads that fall
+/// back past the width cap reads the same views, and so the same degree,
+/// from the count's projecting view builder as from the textbook views;
+/// the search then picks the same `(S̄, width, bound)`, and the count
+/// reports the same `hybrid(width, bound)` plan. The first 5 of the 51
+/// heads (all of them under `exhaustive-tests`).
+#[test]
+fn q0_fallback_hybrid_degrees_match_the_textbook_views() {
+    use cqcount::core::planner::DEGREE_CAP;
+    use std::collections::BTreeSet;
+    const BODY: &str = "mw(A, B, I), wt(B, D), wi(B, E), pt(C, D), \
+                        st(D, F), st(D, G), rr(G, H), rr(F, H), rr(D, H)";
+    const VARS: [&str; 9] = ["A", "B", "C", "D", "E", "F", "G", "H", "I"];
+    const CHECKED: usize = if cfg!(feature = "exhaustive-tests") {
+        51
+    } else {
+        5
+    };
+    let db = parse_database(include_str!("../crates/server/fixtures/example11.cq")).unwrap();
+    let mut checked = 0;
+    for mask in 1u32..1 << VARS.len() {
+        if checked == CHECKED {
+            break;
+        }
+        let head: Vec<&str> = (0..VARS.len())
+            .filter(|i| mask >> i & 1 == 1)
+            .map(|i| VARS[i])
+            .collect();
+        let q = parse_query(&format!("ans({}) :- {BODY}.", head.join(", "))).unwrap();
+        let plan = prepare_plan(&q, WIDTH_CAP);
+        if plan.sharp.is_some() {
+            continue;
+        }
+        checked += 1;
+        // Theorem 6.7's search over the textbook views, in
+        // `hybrid_decomposition`'s order and with its tie-break.
+        let free_cols: Vec<u32> = q.free().iter().map(|v| v.node()).collect();
+        let existential: Vec<Var> = q.existential().into_iter().collect();
+        let mut best: Option<(BTreeSet<Var>, usize, usize)> = None;
+        for sub in 0u32..1 << existential.len() {
+            let mut sbar: BTreeSet<Var> = q.free();
+            sbar.extend(
+                (0..existential.len())
+                    .filter(|i| sub >> i & 1 == 1)
+                    .map(|i| existential[i]),
+            );
+            let qs = q.requantify(sbar.iter().copied());
+            let Some((_, sd)) = WidthSearch::new(&qs).find_up_to(WIDTH_CAP) else {
+                continue;
+            };
+            let textbook = textbook_free_views(&sd, &db);
+            let counted = free_views(&sd.qprime, &db, &sd.hypertree);
+            assert_eq!(counted.views, textbook, "head {head:?}, S̄ {sbar:?}");
+            let bound = textbook
+                .iter()
+                .map(|v| v.degree_wrt(&free_cols))
+                .max()
+                .unwrap_or(0);
+            if bound <= DEGREE_CAP && best.as_ref().is_none_or(|b| bound < b.2) {
+                best = Some((sbar, sd.width, bound));
+                if bound <= 1 {
+                    break;
+                }
+            }
+        }
+        let (sbar, width, bound) = best.expect("every Q0 fallback head has a hybrid plan");
+        let hd = hybrid_decomposition(&q, &db, WIDTH_CAP, DEGREE_CAP).unwrap();
+        assert_eq!(
+            (&hd.sbar, hd.sharp.width, hd.bound),
+            (&sbar, width, bound),
+            "head {head:?}"
+        );
+        let (n, chosen) = count_prepared(&q, &db, &plan, &Budget::unlimited()).unwrap();
+        assert_eq!(n, count_brute_force(&q, &db), "head {head:?}");
+        let Plan::Hybrid {
+            width: w, bound: b, ..
+        } = chosen
+        else {
+            panic!("head {head:?} left the hybrid rung: {chosen:?}");
+        };
+        assert_eq!(
+            (w, b),
+            (width, bound),
+            "head {head:?}: hybrid(width, bound)"
+        );
+    }
+    assert_eq!(checked, CHECKED, "Q0 fallback heads checked");
+}
+
 /// Definition 1.2 / Figure 3: Q0 has #-hypertree width exactly 2.
 #[test]
 fn q0_width_claims() {
