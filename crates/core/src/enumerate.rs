@@ -40,11 +40,9 @@ pub fn for_each_answer_with<F>(
 ) where
     F: FnMut(&BTreeMap<Var, Value>) -> bool,
 {
-    let crate::sharp::CountViews {
-        tree: complete,
-        views: projected,
-        ..
-    } = crate::sharp::free_views(&sd.qprime, db, &sd.hypertree);
+    let plan = crate::sharp::BagPlan::count(&sd.qprime, &sd.hypertree);
+    let complete = &plan.tree;
+    let projected = plan.free_views(db).views;
     if projected.iter().any(Bindings::is_empty) {
         return;
     }

@@ -11,7 +11,7 @@
 //! functionally determined by the free ones).
 
 use crate::ps::count_sharp_relations_views;
-use crate::sharp::{free_views, SharpDecomposition};
+use crate::sharp::{BagPlan, SharpDecomposition};
 use crate::width_search::WidthSearch;
 use cqcount_arith::Natural;
 use cqcount_query::{ConjunctiveQuery, Var};
@@ -34,13 +34,15 @@ pub struct HybridDecomposition {
 /// free variables: the maximum, over the decomposition vertices, of the
 /// number of extensions of a free-variable assignment within
 /// `π_{χ(p) ∩ S̄}(r_p)` — the views of `Q[S̄]` after the structural
-/// elimination of the variables outside `S̄` (Theorem 6.6 step 1,
-/// [`free_views`]).
+/// elimination of the variables outside `S̄` (Theorem 6.6 step 1). Every
+/// view is projected onto `S̄`, also when the answer is empty.
 fn degree_of(sd: &SharpDecomposition, db: &Database, free_cols: &[u32]) -> usize {
-    free_views(&sd.qprime, db, &sd.hypertree)
+    let sbar: Vec<u32> = sd.qprime.free().iter().map(|v| v.node()).collect();
+    BagPlan::count(&sd.qprime, &sd.hypertree)
+        .reduced_views(db)
         .views
-        .iter()
-        .map(|v| v.degree_wrt(free_cols))
+        .into_iter()
+        .map(|v| v.into_project(&sbar).degree_wrt(free_cols))
         .max()
         .unwrap_or(0)
 }
@@ -175,14 +177,15 @@ pub fn hybrid_decomposition_guided(
 /// with the original free variables (cost exponential in the degree bound
 /// only).
 pub fn count_hybrid_with(q: &ConjunctiveQuery, db: &Database, hd: &HybridDecomposition) -> Natural {
-    let cv = free_views(&hd.sharp.qprime, db, &hd.sharp.hypertree);
-    if cv.views.iter().any(Bindings::is_empty) {
+    let plan = BagPlan::count(&hd.sharp.qprime, &hd.sharp.hypertree);
+    let bv = plan.free_views(db);
+    if bv.views.iter().any(Bindings::is_empty) {
         return Natural::ZERO;
     }
     let free_cols: Vec<u32> = q.free().iter().map(|v| v.node()).collect();
-    let tree = &cv.tree;
+    let tree = &plan.tree;
     count_sharp_relations_views(
-        &cv.views,
+        &bv.views,
         &tree.parent,
         &tree.children,
         &tree.order,

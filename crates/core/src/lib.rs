@@ -66,8 +66,8 @@ pub mod prelude {
     };
     pub use crate::ps::{count_pichler_skritek, degree_bound};
     pub use crate::sharp::{
-        count_views, free_views, sharp_decomposition_wrt_views, sharp_hypertree_decomposition,
-        sharp_hypertree_width, CountViews, SharpDecomposition,
+        sharp_decomposition_wrt_views, sharp_hypertree_decomposition, sharp_hypertree_width,
+        BagPlan, BagViews, SharpDecomposition,
     };
     pub use crate::ucq::{count_union, UnionQuery};
     pub use crate::views::{count_with_view_set, ViewSet};

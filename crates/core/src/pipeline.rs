@@ -11,7 +11,8 @@
 //!    columns some other bag or the output reads: an existential variable
 //!    of one bag alone is projected out in the scan or the join, and a
 //!    one-atom neighbour inside a λ-atom (an *ear*) is semijoined into that
-//!    atom's scan before the join ([`crate::sharp::count_views`]);
+//!    atom's scan before the join ([`BagPlan::count`], built once per
+//!    prepared plan);
 //! 2. run the full reducer along the decomposition tree — on the acyclic
 //!    bag schema this achieves global consistency, so afterwards
 //!    `r_p = π_{keep(p)}(Q'^D)` exactly. A *full* query (`free(Q') =
@@ -22,13 +23,13 @@
 //!    all frontiers are covered, the projected acyclic instance's join is
 //!    exactly `π_free(Q'^D)` (each `[free]`-component of existential
 //!    variables re-extends independently through its frontier). Steps 1–3
-//!    are [`crate::sharp::free_views`], which the hybrid rung and the
-//!    enumerator share;
+//!    are [`BagPlan::free_views`], which the hybrid rung and the enumerator
+//!    share;
 //! 4. count the join of the projected instance with the quantifier-free
 //!    acyclic DP.
 
 use crate::acyclic::count_over_tree;
-use crate::sharp::{count_views, free_views, CountViews, SharpDecomposition};
+use crate::sharp::{BagPlan, BagViews, SharpDecomposition};
 use cqcount_arith::Natural;
 use cqcount_decomp::Hypertree;
 use cqcount_query::ConjunctiveQuery;
@@ -42,33 +43,25 @@ pub fn count_with_decomposition(
     db: &Database,
     ht: &Hypertree,
 ) -> Natural {
-    count_decomposed(qprime, db, ht).0
+    count_decomposed(&BagPlan::count(qprime, ht), db).0
 }
 
-/// [`count_with_decomposition`], also returning the bag views it counted
-/// over (for their `cols_dropped` and `ear_rows_dropped`).
-pub(crate) fn count_decomposed(
-    qprime: &ConjunctiveQuery,
-    db: &Database,
-    ht: &Hypertree,
-) -> (Natural, CountViews) {
+/// [`count_with_decomposition`] over a count's [`BagPlan`], also returning
+/// the bag views it counted over (for their `ear_rows_dropped`).
+pub(crate) fn count_decomposed(plan: &BagPlan, db: &Database) -> (Natural, BagViews) {
     // A full query projects nothing away, and the DP is exact on unreduced
     // views: it skips steps 2 and 3.
-    let cv = if qprime.existential().is_empty() {
-        count_views(qprime, db, ht)
+    let bv = if plan.query().existential().is_empty() {
+        plan.views(db)
     } else {
-        free_views(qprime, db, ht)
+        plan.free_views(db)
     };
-    if cv.views.iter().any(Bindings::is_empty) {
-        return (Natural::ZERO, cv);
+    if bv.views.iter().any(Bindings::is_empty) {
+        return (Natural::ZERO, bv);
     }
-    let n = count_over_tree(
-        &cv.views,
-        &cv.tree.parent,
-        &cv.tree.children,
-        &cv.tree.order,
-    );
-    (n, cv)
+    let tree = &plan.tree;
+    let n = count_over_tree(&bv.views, &tree.parent, &tree.children, &tree.order);
+    (n, bv)
 }
 
 /// Theorem 1.3 end to end: computes a width-≤`max_k` `#`-hypertree

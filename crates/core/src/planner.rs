@@ -13,7 +13,7 @@ use crate::budget::Budget;
 use crate::error::PlanError;
 use crate::hybrid::count_hybrid;
 use crate::pipeline::count_decomposed;
-use crate::sharp::SharpDecomposition;
+use crate::sharp::{BagPlan, SharpDecomposition};
 use crate::width_search::WidthSearch;
 
 use cqcount_arith::Natural;
@@ -122,6 +122,9 @@ pub struct PreparedPlan {
     /// `None` means the (expensive) search already failed up to the cap,
     /// so [`count_prepared`] goes straight to the hybrid/brute fallbacks.
     pub sharp: Option<SharpDecomposition>,
+    /// How a count builds the bag views of `sharp`'s decomposition: a
+    /// function of the query alone, so it is built here, once.
+    bags: Option<BagPlan>,
     /// The width cap the decomposition search ran up to.
     pub width_cap: usize,
     /// True when the decomposition search was cut short by its budget
@@ -178,6 +181,9 @@ pub fn prepare_plan_budgeted(
         }
     }
     PreparedPlan {
+        bags: sharp
+            .as_ref()
+            .map(|sd| BagPlan::count(&sd.qprime, &sd.hypertree)),
         sharp,
         width_cap,
         degraded,
@@ -205,15 +211,15 @@ pub fn count_prepared(
     budget: &Budget,
 ) -> Result<(Natural, Plan), PlanError> {
     budget.check()?;
-    if let Some(sd) = &plan.sharp {
+    if let (Some(sd), Some(bags)) = (&plan.sharp, &plan.bags) {
         let sp = cqcount_obs::trace::span("count.sharp");
         if sp.is_armed() {
             sp.add("width", sd.width as u64);
         }
-        let (n, cv) = count_decomposed(&sd.qprime, db, &sd.hypertree);
+        let (n, bv) = count_decomposed(bags, db);
         if sp.is_armed() {
-            sp.add("cols_dropped", cv.cols_dropped as u64);
-            sp.add("ear_rows_dropped", cv.ear_rows_dropped as u64);
+            sp.add("cols_dropped", bags.cols_dropped as u64);
+            sp.add("ear_rows_dropped", bv.ear_rows_dropped as u64);
         }
         budget.check()?;
         return Ok((n, Plan::SharpPipeline { width: sd.width }));

@@ -14,7 +14,7 @@
 //! `h = bound(D, HD)`, the run time is `O(|vertices| · m^{2k} · 4^h)` — the
 //! degree, not the database size, drives the exponential part.
 
-use crate::sharp::bag_views;
+use crate::sharp::BagPlan;
 use cqcount_arith::Natural;
 use cqcount_decomp::Hypertree;
 use cqcount_query::ConjunctiveQuery;
@@ -86,35 +86,24 @@ pub fn count_sharp_relations_views(
 /// indices). The decomposition is completed first (every atom placed in
 /// some `λ` with its variables inside `χ`, Theorem 6.2's preprocessing).
 pub fn count_pichler_skritek(q: &ConjunctiveQuery, db: &Database, ht: &Hypertree) -> Natural {
-    let (complete, views) = completed_views(q, db, ht);
+    let plan = BagPlan::textbook(q, ht);
     let free_cols: Vec<u32> = q.free().iter().map(|v| v.node()).collect();
     count_sharp_relations_views(
-        &views,
-        &complete.parent,
-        &complete.children,
-        &complete.order,
+        &plan.views(db).views,
+        &plan.tree.parent,
+        &plan.tree.children,
+        &plan.tree.order,
         &free_cols,
     )
-}
-
-/// Completes `ht` for `q` and materializes the per-vertex views `r_p`.
-pub(crate) fn completed_views(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    ht: &Hypertree,
-) -> (Hypertree, Vec<Bindings>) {
-    let atom_nodes = crate::sharp::atom_nodesets(q);
-    let complete = ht.complete(&(0..q.atoms().len()).collect::<Vec<_>>(), &atom_nodes);
-    let views = bag_views(q, db, &complete);
-    (complete, views)
 }
 
 /// `bound(D, HD)` (Definition 6.1): the maximum degree of the free columns
 /// across the vertex relations of the (completed) decomposition.
 pub fn degree_bound(q: &ConjunctiveQuery, db: &Database, ht: &Hypertree) -> usize {
-    let (_, views) = completed_views(q, db, ht);
     let free_cols: Vec<u32> = q.free().iter().map(|v| v.node()).collect();
-    views
+    BagPlan::textbook(q, ht)
+        .views(db)
+        .views
         .iter()
         .map(|v| v.degree_wrt(&free_cols))
         .max()

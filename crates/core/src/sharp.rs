@@ -37,6 +37,12 @@ pub(crate) fn atom_nodesets(q: &ConjunctiveQuery) -> Vec<NodeSet> {
         .collect()
 }
 
+/// `ht` completed for `q`: every atom sits in some bag's `λ` with its
+/// variables inside that bag's `χ` (Theorem 6.2's preprocessing).
+fn complete(q: &ConjunctiveQuery, ht: &Hypertree) -> Hypertree {
+    ht.complete(&(0..q.atoms().len()).collect::<Vec<_>>(), &atom_nodesets(q))
+}
+
 /// The combined cover hypergraph `H' = H_{Q'} ∪ FH(Q', free)` whose
 /// decompositions are exactly the `#`-decompositions (proof of Theorem 3.6).
 pub(crate) fn sharp_cover(qprime: &ConjunctiveQuery, free: &NodeSet) -> (Hypergraph, Hypergraph) {
@@ -141,208 +147,260 @@ pub fn sharp_decomposition_wrt_views(
 /// costs more than the bags it would overlap.
 const PAR_MIN_ROWS: usize = 4096;
 
-/// Materializes the textbook per-vertex relations
-/// `r_p = π_{χ(p)}(⋈_{a ∈ λ(p)} a^D)` of a decomposition whose `λ` indexes
-/// `q`'s atoms. Each bag is joined by the leapfrog multiway intersection
-/// when [`wcoj_applies`], else by a fold of binary hash join-projects.
-/// The #-relations of [`crate::ps`] and the degree bound of Definition 6.1
-/// read these; a count builds the narrower [`count_views`].
-pub fn bag_views(q: &ConjunctiveQuery, db: &Database, ht: &Hypertree) -> Vec<Bindings> {
-    build_bags(q, db, ht, &BagPlan::textbook(q, ht, atom_nodesets(q)))
-        .into_iter()
-        .map(|(view, _)| view)
-        .collect()
-}
-
-/// The views one count reads, over its completed decomposition: step 1 of
-/// Theorem 3.7 ([`count_views`]), optionally followed by steps 2–3
-/// ([`free_views`]).
-#[derive(Debug)]
-pub struct CountViews {
+/// How every vertex's view of a decomposition, completed for its query, is
+/// built: which kernel joins the bag, which columns each scan and join
+/// keeps, and which ears each λ-scan absorbs. It reads the query alone, so
+/// a prepared plan builds it once and every count of that plan reuses it.
+///
+/// [`BagPlan::textbook`] builds the textbook per-vertex relations
+/// `r_p = π_{χ(p)}(⋈_{a ∈ λ(p)} a^D)`, which the #-relations of
+/// [`crate::ps`] and the degree bound of Definition 6.1 read.
+/// [`BagPlan::count`] builds the narrower views a count reads.
+#[derive(Clone, Debug)]
+pub struct BagPlan {
+    /// The query whose atoms `λ` indexes.
+    q: ConjunctiveQuery,
     /// The decomposition completed so every atom sits in some bag.
     pub tree: Hypertree,
-    /// One view per vertex of `tree`.
-    pub views: Vec<Bindings>,
-    /// Bag-local existential columns that were never materialized.
+    /// Per vertex, how its view is built.
+    bags: Vec<Bag>,
+    /// Bag-local existential columns that are never materialized.
     pub cols_dropped: usize,
+}
+
+/// How one vertex's view is built.
+#[derive(Clone, Debug)]
+enum Bag {
+    /// The λ-atoms are cyclic ([`wcoj_applies`]): one leapfrog join, then
+    /// the projection onto the kept columns.
+    Leapfrog { keep: Vec<u32> },
+    /// The λ-atoms are scanned in order and folded with join-projects.
+    Binary(Vec<Scan>),
+}
+
+/// One λ-atom of a binary bag.
+#[derive(Clone, Debug)]
+struct Scan {
+    atom: usize,
+    /// The columns the scan keeps: what the bag, a later λ-atom, an
+    /// earlier one's join or an ear reads.
+    cols: Vec<u32>,
+    /// One-atom neighbours semijoined into the scan before it joins.
+    ears: Vec<usize>,
+    /// The columns the join-project with the views so far keeps: what the
+    /// bag or a later λ-atom reads.
+    keep: Vec<u32>,
+}
+
+/// A plan's views, one per vertex of its tree.
+#[derive(Debug)]
+pub struct BagViews {
+    /// One view per vertex of the plan's tree.
+    pub views: Vec<Bindings>,
     /// Scan rows removed by absorbed ears before any join.
     pub ear_rows_dropped: usize,
 }
 
-/// Step 1 of Theorem 3.7 over `ht` completed for `q`: every bag `p` keeps
-/// only `keep(p) = χ(p) ∩ (free(q) ∪ ⋃_{o≠p} χ(o))`, dropping each
-/// variable that occurs in `p` alone and is existential — in the scan of a
-/// one-atom bag, in the join-projects of a binary bag, after the leapfrog
-/// join of a cyclic one. Before a binary bag joins, each λ-scan is also
-/// semijoined with every adjacent one-atom bag (an *ear*) whose variables
-/// lie inside that λ-atom.
-///
-/// Both are sound: the reducer's semijoins read only `χ(p) ∩ χ(o) ⊆
-/// keep(p)`, and an ear removes only rows no answer extends. So after
-/// [`full_reduce`] and the projection onto `free(q)` every view is the same
-/// set as from the textbook [`bag_views`]. A full query keeps every `χ(p)`.
-pub fn count_views(q: &ConjunctiveQuery, db: &Database, ht: &Hypertree) -> CountViews {
-    let atom_nodes = atom_nodesets(q);
-    let tree = ht.complete(&(0..q.atoms().len()).collect::<Vec<_>>(), &atom_nodes);
-    let plan = BagPlan::count(q, &tree, atom_nodes);
-    let cols_dropped = tree
-        .chi
-        .iter()
-        .zip(&plan.keep)
-        .map(|(chi, keep)| chi.len() - keep.len())
-        .sum();
-    let (views, ear_rows): (Vec<Bindings>, Vec<usize>) =
-        build_bags(q, db, &tree, &plan).into_iter().unzip();
-    CountViews {
-        tree,
-        views,
-        cols_dropped,
-        ear_rows_dropped: ear_rows.into_iter().sum(),
-    }
-}
-
-/// Steps 1–3 of Theorem 3.7: [`count_views`], reduced to global
-/// consistency with the full reducer and projected onto `free(q)`. The
-/// pipeline, the hybrid's structural elimination and the enumerator all
-/// read these.
-pub fn free_views(q: &ConjunctiveQuery, db: &Database, ht: &Hypertree) -> CountViews {
-    let mut cv = count_views(q, db, ht);
-    full_reduce(&mut cv.views, &cv.tree.parent, &cv.tree.order);
-    let free_cols: Vec<u32> = q.free().iter().map(|v| v.node()).collect();
-    cv.views = cv
-        .views
-        .into_iter()
-        .map(|v| v.into_project(&free_cols))
-        .collect();
-    cv
-}
-
-/// What the bag builder does with each bag: which kernel joins it, which
-/// columns it keeps, and which ears each λ-scan absorbs.
-struct BagPlan {
-    /// The variables of every atom of the query, as columns.
-    atom_nodes: Vec<NodeSet>,
-    /// Per vertex, whether [`wcoj_applies`].
-    leapfrog: Vec<bool>,
-    /// Per vertex, the columns its view keeps (ascending, ⊆ χ(p)).
-    keep: Vec<Vec<u32>>,
-    /// Per vertex and λ position, the atoms that scan is semijoined with.
-    ears: Vec<Vec<Vec<usize>>>,
-}
-
 impl BagPlan {
-    /// Every bag keeps χ and absorbs nothing: the textbook `r_p`.
-    fn textbook(q: &ConjunctiveQuery, ht: &Hypertree, atom_nodes: Vec<NodeSet>) -> BagPlan {
-        BagPlan {
-            atom_nodes,
-            leapfrog: ht.lambda.iter().map(|lam| wcoj_applies(q, lam)).collect(),
-            keep: ht.chi.iter().map(NodeSet::to_vec).collect(),
-            ears: ht
-                .lambda
-                .iter()
-                .map(|lam| vec![Vec::new(); lam.len()])
-                .collect(),
-        }
+    /// Every bag of `ht`, completed for `q`, keeps χ and absorbs nothing:
+    /// the textbook `r_p`.
+    pub fn textbook(q: &ConjunctiveQuery, ht: &Hypertree) -> BagPlan {
+        let tree = complete(q, ht);
+        let keep = tree.chi.iter().map(NodeSet::to_vec).collect();
+        BagPlan::new(q, tree, keep, false)
     }
 
-    /// The count's plan over the completed `tree` (see [`count_views`]).
-    fn count(q: &ConjunctiveQuery, tree: &Hypertree, atom_nodes: Vec<NodeSet>) -> BagPlan {
-        let mut plan = BagPlan::textbook(q, tree, atom_nodes);
+    /// Step 1 of Theorem 3.7 over `ht` completed for `q`: every bag `p`
+    /// keeps only `keep(p) = χ(p) ∩ (free(q) ∪ ⋃_{o≠p} χ(o))`, dropping each
+    /// variable that occurs in `p` alone and is existential — in the scan
+    /// of a one-atom bag, in the join-projects of a binary bag, after the
+    /// leapfrog join of a cyclic one. Before a binary bag joins, each
+    /// λ-scan is also semijoined with every adjacent one-atom bag (an
+    /// *ear*) whose variables lie inside that λ-atom.
+    ///
+    /// Both are sound: the reducer's semijoins read only `χ(p) ∩ χ(o) ⊆
+    /// keep(p)`, and an ear removes only rows no answer extends. So after
+    /// [`full_reduce`] and the projection onto `free(q)` every view is the
+    /// same set as from the textbook plan. A full query keeps every `χ(p)`.
+    pub fn count(q: &ConjunctiveQuery, ht: &Hypertree) -> BagPlan {
+        let tree = complete(q, ht);
         let free = q.free_nodes();
-        for (p, keep) in plan.keep.iter_mut().enumerate() {
-            keep.retain(|&x| {
-                free.contains(x)
-                    || tree
-                        .chi
-                        .iter()
-                        .enumerate()
-                        .any(|(o, other)| o != p && other.contains(x))
-            });
-        }
-        for (p, lam) in tree.lambda.iter().enumerate() {
-            if lam.len() < 2 || plan.leapfrog[p] {
-                continue;
-            }
-            let neighbours = tree.parent[p].iter().chain(&tree.children[p]);
-            for &o in neighbours {
-                let &[ear] = tree.lambda[o].as_slice() else {
-                    continue;
-                };
-                let vars = &plan.atom_nodes[ear];
-                if lam.contains(&ear) || vars.is_empty() {
-                    continue;
-                }
-                if let Some(i) = lam
+        let keep = (0..tree.len())
+            .map(|p| {
+                tree.chi[p]
                     .iter()
-                    .position(|&ai| vars.is_subset(&plan.atom_nodes[ai]))
-                {
-                    if !plan.ears[p][i].contains(&ear) {
-                        plan.ears[p][i].push(ear);
+                    .filter(|&x| {
+                        free.contains(x)
+                            || tree
+                                .chi
+                                .iter()
+                                .enumerate()
+                                .any(|(o, other)| o != p && other.contains(x))
+                    })
+                    .collect()
+            })
+            .collect();
+        BagPlan::new(q, tree, keep, true)
+    }
+
+    /// The plan keeping `keep[p]` of every bag `p`; with `absorb_ears`, each
+    /// λ-scan of a binary bag absorbs the adjacent one-atom bags whose
+    /// variables lie inside its atom.
+    fn new(
+        q: &ConjunctiveQuery,
+        tree: Hypertree,
+        keep: Vec<Vec<u32>>,
+        absorb_ears: bool,
+    ) -> BagPlan {
+        let atom_nodes = atom_nodesets(q);
+        let vars = |ai: usize| atom_nodes[ai].iter();
+        let cols_dropped = tree
+            .chi
+            .iter()
+            .zip(&keep)
+            .map(|(chi, k)| chi.len() - k.len())
+            .sum();
+        let bags = keep
+            .into_iter()
+            .enumerate()
+            .map(|(p, keep)| {
+                let lam = &tree.lambda[p];
+                if wcoj_applies(q, lam) {
+                    return Bag::Leapfrog { keep };
+                }
+                let mut ears: Vec<Vec<usize>> = vec![Vec::new(); lam.len()];
+                if absorb_ears && lam.len() >= 2 {
+                    for &o in tree.parent[p].iter().chain(&tree.children[p]) {
+                        let &[ear] = tree.lambda[o].as_slice() else {
+                            continue;
+                        };
+                        let ev = &atom_nodes[ear];
+                        if lam.contains(&ear) || ev.is_empty() {
+                            continue;
+                        }
+                        if let Some(i) = lam.iter().position(|&ai| ev.is_subset(&atom_nodes[ai])) {
+                            if !ears[i].contains(&ear) {
+                                ears[i].push(ear);
+                            }
+                        }
                     }
                 }
-            }
+                let scans = lam
+                    .iter()
+                    .zip(ears)
+                    .enumerate()
+                    .map(|(i, (&atom, ears))| {
+                        let mut step = keep.clone();
+                        step.extend(lam[i + 1..].iter().flat_map(|&aj| vars(aj)));
+                        step.sort_unstable();
+                        step.dedup();
+                        let mut cols = step.clone();
+                        cols.extend(lam[..i].iter().flat_map(|&aj| vars(aj)));
+                        cols.extend(ears.iter().flat_map(|&e| vars(e)));
+                        cols.sort_unstable();
+                        cols.dedup();
+                        Scan {
+                            atom,
+                            cols,
+                            ears,
+                            keep: step,
+                        }
+                    })
+                    .collect();
+                Bag::Binary(scans)
+            })
+            .collect();
+        BagPlan {
+            q: q.clone(),
+            tree,
+            bags,
+            cols_dropped,
         }
-        plan
     }
-}
 
-/// Builds every vertex's view under `plan`, with the ear rows each bag's
-/// scans dropped. One independent build per tree vertex: this is the count
-/// path's only parallel call, and only large inputs take it; results come
-/// back in vertex order either way.
-fn build_bags(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    ht: &Hypertree,
-    plan: &BagPlan,
-) -> Vec<(Bindings, usize)> {
-    let build = |&p: &usize| {
-        let keep = &plan.keep[p];
-        let lam = &ht.lambda[p];
-        if plan.leapfrog[p] {
-            return (wcoj_bag(q, db, lam).into_project(keep), 0);
-        }
+    /// The query the plan builds views of.
+    pub fn query(&self) -> &ConjunctiveQuery {
+        &self.q
+    }
+
+    /// Builds every vertex's view (step 1 of Theorem 3.7 for a count
+    /// plan). One independent build per tree vertex: this is the count
+    /// path's only parallel call, and only large inputs take it; results
+    /// come back in vertex order either way.
+    pub fn views(&self, db: &Database) -> BagViews {
+        let q = &self.q;
         let atom = |ai: usize| &q.atoms()[ai];
-        let vars = |ai: usize| plan.atom_nodes[ai].iter();
-        let mut ear_rows = 0;
-        let mut view: Option<Bindings> = None;
-        for (i, &ai) in lam.iter().enumerate() {
-            // A column survives this step if the bag keeps it or a later
-            // λ-atom joins on it; the scan also keeps what an ear and the
-            // joins so far read.
-            let mut step_keep: Vec<u32> = keep.clone();
-            step_keep.extend(lam[i + 1..].iter().flat_map(|&aj| vars(aj)));
-            let mut scan_keep = step_keep.clone();
-            scan_keep.extend(lam[..i].iter().flat_map(|&aj| vars(aj)));
-            scan_keep.extend(plan.ears[p][i].iter().flat_map(|&e| vars(e)));
-            let mut scan = atom_bindings_projected(atom(ai), db, &scan_keep);
-            for &e in &plan.ears[p][i] {
-                let before = scan.len();
-                scan.semijoin_in_place(&atom_bindings(atom(e), db));
-                ear_rows += before - scan.len();
+        let build = |&p: &usize| -> (Bindings, usize) {
+            let scans = match &self.bags[p] {
+                Bag::Leapfrog { keep } => {
+                    return (wcoj_bag(q, db, &self.tree.lambda[p]).into_project(keep), 0)
+                }
+                Bag::Binary(scans) => scans,
+            };
+            let mut ear_rows = 0;
+            let mut view: Option<Bindings> = None;
+            for scan in scans {
+                let mut rows = atom_bindings_projected(atom(scan.atom), db, &scan.cols);
+                for &e in &scan.ears {
+                    let before = rows.len();
+                    rows.semijoin_in_place(&atom_bindings(atom(e), db));
+                    ear_rows += before - rows.len();
+                }
+                view = Some(match view {
+                    None => rows,
+                    Some(acc) => acc.join_project(&rows, &scan.keep),
+                });
             }
-            view = Some(match view {
-                None => scan,
-                Some(acc) => acc.join_project(&scan, &step_keep),
-            });
+            (view.unwrap_or_else(Bindings::unit), ear_rows)
+        };
+        let vertices: Vec<usize> = (0..self.tree.len()).collect();
+        let lambda_rows: usize = self
+            .tree
+            .lambda
+            .iter()
+            .flatten()
+            .map(|&ai| db.relation(&atom(ai).rel).map_or(0, Relation::len))
+            .sum();
+        let built = if lambda_rows >= PAR_MIN_ROWS {
+            cqcount_exec::par_map(&vertices, build)
+        } else {
+            vertices.iter().map(build).collect()
+        };
+        let (views, ear_rows): (Vec<Bindings>, Vec<usize>) = built.into_iter().unzip();
+        BagViews {
+            views,
+            ear_rows_dropped: ear_rows.into_iter().sum(),
         }
-        (view.unwrap_or_else(Bindings::unit), ear_rows)
-    };
-    let vertices: Vec<usize> = (0..ht.len()).collect();
-    let lambda_rows: usize = ht
-        .lambda
-        .iter()
-        .flatten()
-        .map(|&ai| db.relation(&q.atoms()[ai].rel).map_or(0, Relation::len))
-        .sum();
-    if lambda_rows >= PAR_MIN_ROWS {
-        cqcount_exec::par_map(&vertices, build)
-    } else {
-        vertices.iter().map(build).collect()
+    }
+
+    /// Steps 1–2 of Theorem 3.7: [`BagPlan::views`] reduced to global
+    /// consistency with the full reducer.
+    pub fn reduced_views(&self, db: &Database) -> BagViews {
+        let mut bv = self.views(db);
+        full_reduce(&mut bv.views, &self.tree.parent, &self.tree.order);
+        bv
+    }
+
+    /// Steps 1–3 of Theorem 3.7: [`BagPlan::reduced_views`] projected onto
+    /// the query's free variables. The pipeline, the hybrid count and the
+    /// enumerator read these. When the reducer leaves a view empty the
+    /// answer is empty, and the views come back unprojected: every reader
+    /// takes an empty view for an empty answer.
+    pub fn free_views(&self, db: &Database) -> BagViews {
+        let mut bv = self.reduced_views(db);
+        if !bv.views.iter().any(Bindings::is_empty) {
+            let free: Vec<u32> = self.q.free().iter().map(|v| v.node()).collect();
+            bv.views = bv
+                .views
+                .into_iter()
+                .map(|v| v.into_project(&free))
+                .collect();
+        }
+        bv
     }
 }
 
-/// Does [`bag_views`] join this bag's λ-atoms with the leapfrog kernel?
+/// Does a [`BagPlan`] join this bag's λ-atoms with the leapfrog kernel?
 /// Exactly when they form a cyclic hypergraph — where a binary join order
 /// must materialize an intermediate larger than the AGM-bounded output.
 /// Acyclic bags take the fold of binary hash join-projects.
@@ -555,9 +613,10 @@ mod tests {
         .unwrap();
         let q = q.unwrap();
         let sd = sharp_hypertree_decomposition(&q, 2).unwrap();
-        let views = bag_views(&sd.qprime, &db, &sd.hypertree);
-        assert_eq!(views.len(), sd.hypertree.len());
-        for (v, bag) in views.iter().zip(&sd.hypertree.chi) {
+        let plan = BagPlan::textbook(&sd.qprime, &sd.hypertree);
+        let views = plan.views(&db).views;
+        assert_eq!(views.len(), plan.tree.len());
+        for (v, bag) in views.iter().zip(&plan.tree.chi) {
             assert_eq!(
                 v.cols(),
                 bag.to_vec().as_slice(),

@@ -1,5 +1,5 @@
 //! The count path's one parallel call — the per-bag view build in
-//! `sharp::bag_views` — is entered only when the bags'
+//! `sharp::BagPlan::views` — is entered only when the bags'
 //! λ-relations hold at least 4096 rows in total. These tests count over a
 //! seeded graph large enough to cross that gate, heap-backed and loaded
 //! from a store image, at several lane counts, against the full-join
@@ -37,7 +37,7 @@ fn graph(nodes: u32, edges: usize, seed: u64) -> Database {
 }
 
 /// Counts `q` through its `#`-hypertree decomposition under a trace
-/// session, returning the count, the number of bags `bag_views` builds
+/// session, returning the count, the number of bags `BagPlan::views` builds
 /// (those of the decomposition completed with every atom) and how many
 /// `par_map` blocks (`exec.task` spans) the count ran. Every task must hang
 /// under the test's root span, even those recorded on lanes that exited

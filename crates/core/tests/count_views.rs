@@ -1,9 +1,9 @@
-//! The count's bag views against the textbook ones. `free_views` drops
+//! The count's bag views against the textbook ones. `BagPlan::count` drops
 //! every bag-local existential column while it scans and joins, and
 //! semijoins one-atom ears into a bag's λ-scans before the join; after the
 //! full reducer and the projection onto the free variables, every view
 //! must be the very set that the textbook `r_p = π_χ(p)(⋈ λ(p))` gives
-//! (`bag_views` → `full_reduce` → project). These tests hold it to that on
+//! (`BagPlan::textbook` → `full_reduce` → project). These tests hold it to that on
 //! chain, cyclic, Q0, constant, repeated-variable, nullary, empty and
 //! cross-product shapes, heap-backed and loaded from a store image, at one
 //! and two lanes, and hold every count to brute force on a small instance
@@ -12,30 +12,23 @@
 use cqcount_arith::prng::Rng;
 use cqcount_arith::Natural;
 use cqcount_core::prelude::*;
-use cqcount_core::sharp::bag_views;
 use cqcount_exec::with_threads;
-use cqcount_hypergraph::NodeSet;
 use cqcount_query::{parse_database, parse_query, ConjunctiveQuery};
-use cqcount_relational::consistency::full_reduce;
 use cqcount_relational::store::{encode_store, open_store};
 use cqcount_relational::{Bindings, Database};
 use cqcount_workloads::intro::{intro_instance, IntroScale};
 use std::fmt::Write;
 
+/// The free variables of `q`, as columns.
+fn free_cols(q: &ConjunctiveQuery) -> Vec<u32> {
+    q.free().iter().map(|v| v.node()).collect()
+}
+
 /// Steps 1–3 the textbook way, over the same completed tree.
 fn textbook_free_views(sd: &SharpDecomposition, db: &Database) -> Vec<Bindings> {
-    let q = &sd.qprime;
-    let atoms: Vec<NodeSet> = q
-        .atoms()
-        .iter()
-        .map(|a| a.vars().iter().map(|v| v.node()).collect())
-        .collect();
-    let tree = sd
-        .hypertree
-        .complete(&(0..atoms.len()).collect::<Vec<_>>(), &atoms);
-    let mut views = bag_views(q, db, &tree);
-    full_reduce(&mut views, &tree.parent, &tree.order);
-    let free: Vec<u32> = q.free().iter().map(|v| v.node()).collect();
+    let plan = BagPlan::textbook(&sd.qprime, &sd.hypertree);
+    let views = plan.reduced_views(db).views;
+    let free = free_cols(&sd.qprime);
     views.iter().map(|v| v.project(&free)).collect()
 }
 
@@ -105,18 +98,32 @@ fn check_on(
     for (backing, db) in [("heap", heap), ("store", store)] {
         for threads in [1, 2] {
             let at = format!("{src} on {backing} at {threads} lanes");
-            let (cv, textbook, n) = with_threads(threads, || {
+            let plan = BagPlan::count(&sd.qprime, &sd.hypertree);
+            let (reduced, free, textbook, n) = with_threads(threads, || {
                 (
-                    free_views(&sd.qprime, db, &sd.hypertree),
+                    plan.reduced_views(db),
+                    plan.free_views(db),
                     textbook_free_views(sd, db),
                     count_with_decomposition(&sd.qprime, db, &sd.hypertree),
                 )
             });
-            assert_eq!(cv.views, textbook, "{at}: views");
+            let projected: Vec<Bindings> = reduced
+                .views
+                .iter()
+                .map(|v| v.project(&free_cols(&sd.qprime)))
+                .collect();
+            assert_eq!(projected, textbook, "{at}: views");
+            if textbook.iter().any(Bindings::is_empty) {
+                // An empty answer: the views come back unprojected.
+                assert!(free.views.iter().any(Bindings::is_empty), "{at}: empty");
+                assert!(expected.is_zero(), "{at}: an empty view, yet answers");
+            } else {
+                assert_eq!(free.views, textbook, "{at}: free views");
+            }
             assert_eq!(n, expected, "{at}: count");
             built.get_or_insert(Built {
-                cols_dropped: cv.cols_dropped,
-                ear_rows_dropped: cv.ear_rows_dropped,
+                cols_dropped: plan.cols_dropped,
+                ear_rows_dropped: free.ear_rows_dropped,
             });
         }
     }

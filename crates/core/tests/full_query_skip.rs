@@ -9,25 +9,10 @@
 use cqcount_arith::prng::Rng;
 use cqcount_arith::Natural;
 use cqcount_core::prelude::*;
-use cqcount_core::sharp::bag_views;
-use cqcount_decomp::Hypertree;
-use cqcount_hypergraph::NodeSet;
 use cqcount_obs::trace;
-use cqcount_query::{parse_program, parse_query, ConjunctiveQuery};
-use cqcount_relational::consistency::full_reduce;
+use cqcount_query::{parse_program, parse_query};
 use cqcount_relational::Database;
 use std::fmt::Write;
-
-/// The decomposition `count_with_decomposition` counts over: `ht`
-/// completed so every atom of `q` sits in some bag.
-fn completed(q: &ConjunctiveQuery, ht: &Hypertree) -> Hypertree {
-    let atoms: Vec<NodeSet> = q
-        .atoms()
-        .iter()
-        .map(|a| a.vars().iter().map(|v| v.node()).collect())
-        .collect();
-    ht.complete(&(0..atoms.len()).collect::<Vec<_>>(), &atoms)
-}
 
 /// Counts `q` through its `#`-hypertree decomposition and checks it
 /// against brute force and the full join. With `all_dangle`, also checks
@@ -40,10 +25,9 @@ fn check(src: &str, db: &Database, all_dangle: bool) -> Natural {
     assert_eq!(n, count_brute_force(&q, db), "{src}: brute force");
     assert_eq!(n, count_via_full_join(&q, db), "{src}: full join");
     if all_dangle {
-        let tree = completed(&sd.qprime, &sd.hypertree);
-        let views = bag_views(&sd.qprime, db, &tree);
-        let mut reduced = views.clone();
-        full_reduce(&mut reduced, &tree.parent, &tree.order);
+        let plan = BagPlan::textbook(&sd.qprime, &sd.hypertree);
+        let views = plan.views(db).views;
+        let reduced = plan.reduced_views(db).views;
         for (p, (view, kept)) in views.iter().zip(&reduced).enumerate() {
             assert!(
                 kept.len() < view.len(),
@@ -134,7 +118,7 @@ fn traced_semijoins(src: &str, db: &Database) -> (usize, usize, usize) {
     let sd = sharp_hypertree_decomposition(&q, 1)
         .or_else(|| sharp_hypertree_decomposition(&q, 2))
         .expect("width ≤ 2");
-    let tree = completed(&sd.qprime, &sd.hypertree);
+    let tree = BagPlan::count(&sd.qprime, &sd.hypertree).tree;
     let _session = trace::TraceSession::begin();
     let root = trace::span("test.count");
     let id = root.id();

@@ -20,8 +20,7 @@
 //! There is one binary join, [`Bindings::join_project`]: it hashes the
 //! smaller side on the shared-column key (grouping its row indices by key,
 //! with no per-key allocation), streams the larger side through that
-//! index, and emits only the columns the caller keeps. A smaller side of a
-//! few rows is compared in a nested loop instead of hashed. When at most four
+//! index, and emits only the columns the caller keeps. When at most four
 //! columns survive, each emitted row is one packed `u128`; a
 //! `sort_unstable` + `dedup` of those integers is then the canonical row
 //! order, whatever order the hash probe produced them in, and they unpack
@@ -322,33 +321,6 @@ impl Emitted {
     }
 }
 
-/// Build sides up to this many rows are joined by comparing keys in a
-/// nested loop: on the handful of rows a small database's bags hold, the
-/// hash index costs more to allocate than it saves.
-const NESTED_LOOP_MAX: usize = 8;
-
-/// [`Bindings::join_project`] on a small build side: every probe row is
-/// compared with every build row on the shared positions. Returns the
-/// number of matched pairs.
-fn nested_loop_join(
-    build: &Bindings,
-    probe: &Bindings,
-    bpos: &[usize],
-    ppos: &[usize],
-    mut emit: impl FnMut(&[Value], &[Value]),
-) -> u64 {
-    let mut pairs = 0;
-    for prow in &probe.rows {
-        for brow in &build.rows {
-            if bpos.iter().zip(ppos).all(|(&b, &p)| brow[b] == prow[p]) {
-                pairs += 1;
-                emit(brow, prow);
-            }
-        }
-    }
-    pairs
-}
-
 /// The hash probe behind [`Bindings::join_project`]: groups `build`'s row
 /// indices by key in one flat array (a key → group map, then per-group
 /// offsets), streams `probe` through the groups and calls `emit` on every
@@ -610,9 +582,7 @@ impl Bindings {
         let (bpos, ppos) = build.shared_positions(probe);
         let emit = JoinEmit::new(&build.cols, &probe.cols, keep);
         let mut out = Emitted::new(emit.from.len());
-        let pairs = if build.rows.len() <= NESTED_LOOP_MAX {
-            nested_loop_join(build, probe, &bpos, &ppos, |b, p| out.push(&emit, b, p))
-        } else if bpos.len() <= 4 {
+        let pairs = if bpos.len() <= 4 {
             hash_join(
                 build,
                 probe,
@@ -1249,9 +1219,8 @@ mod tests {
         };
         let mut rng = Rng::seed_from_u64(0x101E);
         // Key widths 0..=4 pack the key, 5 takes the wide key; kept widths
-        // 1..=4 pack the output rows, 5 and 6 take the wide output. Sides of
-        // up to 40 rows take both the nested loop (a side of ≤ 8 rows) and
-        // the hash probe.
+        // 1..=4 pack the output rows, 5 and 6 take the wide output. Sides
+        // hold 0 to 40 rows.
         for width in 0..=5u32 {
             let (lcols, rcols) = join_sides(width);
             let mut all: Vec<Col> = lcols.iter().chain(&rcols).copied().collect();

@@ -6,7 +6,7 @@
 //!
 //! * the best of five `count_prepared` times;
 //! * the rows and columns of the textbook bag views `r_p = π_χ(p)(⋈ λ(p))`
-//!   (`bag_views`) against those the count builds (`count_views`), which
+//!   (`BagPlan::textbook`) against those the count builds (`BagPlan::count`), which
 //!   drop bag-local existential columns and absorb one-atom ears before
 //!   the join.
 //!
@@ -18,7 +18,6 @@
 
 use cqcount::arith::prng::Rng;
 use cqcount::core::planner::WIDTH_CAP;
-use cqcount::core::sharp::bag_views;
 use cqcount::prelude::*;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -159,8 +158,9 @@ fn main() {
         }
         assert_eq!(n, count_via_full_join(&q, db), "{src}: full join");
 
-        let built = count_views(&sd.qprime, db, &sd.hypertree);
-        let (rows_before, cols_before) = rows_and_cols(&bag_views(&sd.qprime, db, &built.tree));
+        let textbook = BagPlan::textbook(&sd.qprime, &sd.hypertree).views(db);
+        let built = BagPlan::count(&sd.qprime, &sd.hypertree).views(db);
+        let (rows_before, cols_before) = rows_and_cols(&textbook.views);
         let (rows_after, cols_after) = rows_and_cols(&built.views);
         println!(
             "{shape:<14} {src:<50} {:>9.1} {n:>10} {:>21} {:>9} {:>8}",

@@ -6,21 +6,12 @@ use cqcount::prelude::*;
 use cqcount::workloads::paper::*;
 use cqcount::workloads::random::{random_database, random_query, RandomCqConfig, RandomDbConfig};
 
-/// Theorem 3.7 steps 1–3 the textbook way: `r_p = π_χ(p)(⋈ λ(p))` over the
-/// completed tree, the full reducer, then the projection onto `free(Q')`.
-fn textbook_free_views(sd: &SharpDecomposition, db: &Database) -> Vec<Bindings> {
-    let q = &sd.qprime;
-    let atoms: Vec<NodeSet> = q
-        .atoms()
-        .iter()
-        .map(|a| a.vars().iter().map(|v| v.node()).collect())
-        .collect();
-    let tree = sd
-        .hypertree
-        .complete(&(0..atoms.len()).collect::<Vec<_>>(), &atoms);
-    let mut views = cqcount::core::sharp::bag_views(q, db, &tree);
-    cqcount::relational::consistency::full_reduce(&mut views, &tree.parent, &tree.order);
-    let free: Vec<u32> = q.free().iter().map(|v| v.node()).collect();
+/// Theorem 3.7 steps 1–3 under `plan`: its views over the completed tree,
+/// the full reducer, then the projection onto `free(Q')` of every view,
+/// as the hybrid search's degree reads them.
+fn free_projected(plan: &BagPlan, db: &Database) -> Vec<Bindings> {
+    let free: Vec<u32> = plan.query().free().iter().map(|v| v.node()).collect();
+    let views = plan.reduced_views(db).views;
     views.iter().map(|v| v.project(&free)).collect()
 }
 
@@ -74,9 +65,9 @@ fn q0_fallback_hybrid_degrees_match_the_textbook_views() {
             let Some((_, sd)) = WidthSearch::new(&qs).find_up_to(WIDTH_CAP) else {
                 continue;
             };
-            let textbook = textbook_free_views(&sd, &db);
-            let counted = free_views(&sd.qprime, &db, &sd.hypertree);
-            assert_eq!(counted.views, textbook, "head {head:?}, S̄ {sbar:?}");
+            let textbook = free_projected(&BagPlan::textbook(&sd.qprime, &sd.hypertree), &db);
+            let counted = free_projected(&BagPlan::count(&sd.qprime, &sd.hypertree), &db);
+            assert_eq!(counted, textbook, "head {head:?}, S̄ {sbar:?}");
             let bound = textbook
                 .iter()
                 .map(|v| v.degree_wrt(&free_cols))
