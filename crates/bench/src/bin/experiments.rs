@@ -757,8 +757,8 @@ fn e12() {
 
 /// E13 — the three classes of the trichotomy (Theorem 1.6), side by side:
 /// (1) bounded #-htw (FPT/poly counting), (2) unbounded #-htw with bounded
-/// frontier width (W[1]-equivalent — counting collapses to the decision
-/// problem), (3) unbounded frontier width (#W[1]-hard).
+/// frontier width (W\[1\]-equivalent — counting collapses to the decision
+/// problem), (3) unbounded frontier width (#W\[1\]-hard).
 fn e13() {
     banner(
         "E13",

@@ -24,7 +24,7 @@ pub fn count_brute_force(q: &ConjunctiveQuery, db: &Database) -> Natural {
 const BUDGET_STRIDE: u32 = 256;
 
 /// [`count_brute_force`] with a cooperative wall-clock budget: the
-/// enumeration loop checks the budget every [`BUDGET_STRIDE`]
+/// enumeration loop checks the budget every `BUDGET_STRIDE`
 /// homomorphisms and aborts with [`PlanError::BudgetExceeded`] instead of
 /// running to completion. This is the serving layer's defense against
 /// adversarially expensive requests.

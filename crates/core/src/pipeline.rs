@@ -5,14 +5,13 @@
 //! `FH(Q', free(Q))`:
 //!
 //! 1. materialize the per-vertex views `r_p = π_{χ(p)}(⋈ λ(p))` (after
-//!    *completing* the decomposition so every atom is enforced) — leapfrog
-//!    on bags whose λ-atoms are cyclic, a fold of binary hash join-projects
-//!    elsewhere ([`crate::sharp::wcoj_applies`]). A bag keeps only the
-//!    columns some other bag or the output reads: an existential variable
-//!    of one bag alone is projected out in the scan or the join, and a
-//!    one-atom neighbour inside a λ-atom (an *ear*) is semijoined into that
-//!    atom's scan before the join ([`BagPlan::count`], built once per
-//!    prepared plan);
+//!    *completing* the decomposition so every atom is enforced) — each a
+//!    fold of binary hash join-projects over the bag's λ-atoms. A bag
+//!    keeps only the columns some other bag or the output reads: an
+//!    existential variable of one bag alone is projected out in the scan or
+//!    the join, and a one-atom neighbour inside a λ-atom (an *ear*) is
+//!    semijoined into that atom's scan before the join ([`BagPlan::count`],
+//!    built once per prepared plan);
 //! 2. run the full reducer along the decomposition tree — on the acyclic
 //!    bag schema this achieves global consistency, so afterwards
 //!    `r_p = π_{keep(p)}(Q'^D)` exactly. A *full* query (`free(Q') =
@@ -76,49 +75,6 @@ pub fn count_via_sharp_decomposition(
     let (_, sd) = crate::width_search::WidthSearch::new(q).find_up_to(max_k)?;
     let count = count_with_decomposition(&sd.qprime, db, &sd.hypertree);
     Some((count, sd))
-}
-
-/// Corollary 3.8 flavour: counts through a `#`-decomposition w.r.t. an
-/// explicit view-set hypergraph, using bag views over the *query's own
-/// atoms* as the legal database for the decomposition. Returns `None` if
-/// `q` is not `#`-covered w.r.t. the views.
-pub fn count_with_views(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    views: &cqcount_hypergraph::Hypergraph,
-) -> Option<Natural> {
-    let sd = crate::sharp::sharp_decomposition_wrt_views(q, views)?;
-    // The tree projection's λ indexes view hyperedges; rebuild an atom-based
-    // λ by covering each bag with the atoms of Q' it can be built from.
-    // Every bag is a subset of a view, and views are (by the legal-database
-    // requirement) at least as permissive as Q' — materializing bags from
-    // Q''s own atoms is the standard view extension and is always legal.
-    let atom_sets = crate::sharp::atom_nodesets(&sd.qprime);
-    let mut lambda = Vec::with_capacity(sd.hypertree.len());
-    for bag in &sd.hypertree.chi {
-        // cover the bag greedily with atoms (for materialization only —
-        // correctness needs soundness, which any superset join gives after
-        // completion + consistency).
-        let mut need = bag.clone();
-        let mut lam = Vec::new();
-        while !need.is_empty() {
-            let best = (0..atom_sets.len())
-                .max_by_key(|&i| atom_sets[i].intersection(&need).len())
-                .expect("query has atoms");
-            if atom_sets[best].intersection(&need).is_empty() {
-                break; // bag node not in any atom: impossible for valid bags
-            }
-            lam.push(best);
-            need = need.difference(&atom_sets[best]);
-        }
-        lambda.push(lam);
-    }
-    let ht = Hypertree::from_parts(
-        sd.hypertree.chi.clone(),
-        lambda,
-        sd.hypertree.parent.clone(),
-    );
-    Some(count_with_decomposition(&sd.qprime, db, &ht))
 }
 
 #[cfg(test)]
@@ -206,28 +162,6 @@ mod tests {
         assert!(count_via_sharp_decomposition(&q, &db, 2).is_none());
         let (n, sd) = count_via_sharp_decomposition(&q, &db, 3).unwrap();
         assert_eq!(sd.width, 3);
-        assert_eq!(n, count_brute_force(&q, &db));
-    }
-
-    #[test]
-    fn count_with_views_example_3_5() {
-        let (q, db) = setup(
-            "mw(m1, w1, 10). mw(m2, w1, 20). mw(m1, w2, 30).
-             wt(w1, t1). wt(w2, t2).
-             wi(w1, i1). wi(w2, i2).
-             pt(p1, t1). pt(p1, t2). pt(p2, t1).
-             st(t1, u1). st(t2, u2).
-             rr(u1, res1). rr(t1, res1). rr(u2, res2). rr(t2, res2).
-             ans(A, B, C) :- mw(A, B, I), wt(B, D), wi(B, E), pt(C, D),
-                             st(D, F), st(D, G), rr(G, H), rr(F, H), rr(D, H).",
-        );
-        let var = |n: &str| q.find_var(n).unwrap().node();
-        let mut views = cqcount_hypergraph::Hypergraph::new();
-        views.add_edge([var("A"), var("B"), var("I")].into());
-        views.add_edge([var("B"), var("E")].into());
-        views.add_edge([var("B"), var("C"), var("D")].into());
-        views.add_edge([var("D"), var("F"), var("H")].into());
-        let n = count_with_views(&q, &db, &views).unwrap();
         assert_eq!(n, count_brute_force(&q, &db));
     }
 

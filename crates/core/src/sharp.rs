@@ -2,13 +2,13 @@
 //! w.r.t. arbitrary view sets (Definition 1.4, Theorem 3.6).
 
 use cqcount_decomp::{tree_projection, Hypertree};
-use cqcount_hypergraph::{frontier_hypergraph, is_acyclic, Hypergraph, NodeSet};
+use cqcount_hypergraph::{frontier_hypergraph, Hypergraph, NodeSet};
 use cqcount_query::canonical::{atom_bindings, atom_bindings_projected};
 use cqcount_query::color::{color, uncolor};
 use cqcount_query::hom::has_homomorphism;
-use cqcount_query::{Atom, ConjunctiveQuery, Term};
+use cqcount_query::ConjunctiveQuery;
 use cqcount_relational::consistency::full_reduce;
-use cqcount_relational::{wcoj_join, Bindings, Database, Relation, WcojInput};
+use cqcount_relational::{Bindings, Database, Relation};
 
 /// A `#`-hypertree decomposition (or a `#`-decomposition w.r.t. views):
 /// a decomposition covering both the hypergraph of (the uncolored version
@@ -148,9 +148,11 @@ pub fn sharp_decomposition_wrt_views(
 const PAR_MIN_ROWS: usize = 4096;
 
 /// How every vertex's view of a decomposition, completed for its query, is
-/// built: which kernel joins the bag, which columns each scan and join
-/// keeps, and which ears each λ-scan absorbs. It reads the query alone, so
-/// a prepared plan builds it once and every count of that plan reuses it.
+/// built: its λ-atoms are scanned in order and folded with
+/// [`Bindings::join_project`], and the plan fixes which columns each scan
+/// and join keeps and which ears each λ-scan absorbs. It reads the query
+/// alone, so a prepared plan builds it once and every count of that plan
+/// reuses it.
 ///
 /// [`BagPlan::textbook`] builds the textbook per-vertex relations
 /// `r_p = π_{χ(p)}(⋈_{a ∈ λ(p)} a^D)`, which the #-relations of
@@ -162,23 +164,15 @@ pub struct BagPlan {
     q: ConjunctiveQuery,
     /// The decomposition completed so every atom sits in some bag.
     pub tree: Hypertree,
-    /// Per vertex, how its view is built.
-    bags: Vec<Bag>,
+    /// Per vertex, its λ-atoms' scans in join order.
+    bags: Vec<Vec<Scan>>,
     /// Bag-local existential columns that are never materialized.
     pub cols_dropped: usize,
 }
 
-/// How one vertex's view is built.
-#[derive(Clone, Debug)]
-enum Bag {
-    /// The λ-atoms are cyclic ([`wcoj_applies`]): one leapfrog join, then
-    /// the projection onto the kept columns.
-    Leapfrog { keep: Vec<u32> },
-    /// The λ-atoms are scanned in order and folded with join-projects.
-    Binary(Vec<Scan>),
-}
-
-/// One λ-atom of a binary bag.
+/// One λ-atom of a bag. A scan keeps every column another λ-atom of the
+/// bag shares, so the fold applies every equality of `⋈ λ(p)` whether or
+/// not the λ-atoms form a cyclic hypergraph.
 #[derive(Clone, Debug)]
 struct Scan {
     atom: usize,
@@ -213,10 +207,10 @@ impl BagPlan {
     /// Step 1 of Theorem 3.7 over `ht` completed for `q`: every bag `p`
     /// keeps only `keep(p) = χ(p) ∩ (free(q) ∪ ⋃_{o≠p} χ(o))`, dropping each
     /// variable that occurs in `p` alone and is existential — in the scan
-    /// of a one-atom bag, in the join-projects of a binary bag, after the
-    /// leapfrog join of a cyclic one. Before a binary bag joins, each
-    /// λ-scan is also semijoined with every adjacent one-atom bag (an
-    /// *ear*) whose variables lie inside that λ-atom.
+    /// of a one-atom bag, in the join-projects of a larger one. Before a
+    /// bag of two or more λ-atoms joins, each λ-scan is also semijoined
+    /// with every adjacent one-atom bag (an *ear*) whose variables lie
+    /// inside that λ-atom.
     ///
     /// Both are sound: the reducer's semijoins read only `χ(p) ∩ χ(o) ⊆
     /// keep(p)`, and an ear removes only rows no answer extends. So after
@@ -244,8 +238,8 @@ impl BagPlan {
     }
 
     /// The plan keeping `keep[p]` of every bag `p`; with `absorb_ears`, each
-    /// λ-scan of a binary bag absorbs the adjacent one-atom bags whose
-    /// variables lie inside its atom.
+    /// λ-scan of a bag of two or more λ-atoms absorbs the adjacent one-atom
+    /// bags whose variables lie inside its atom.
     fn new(
         q: &ConjunctiveQuery,
         tree: Hypertree,
@@ -265,9 +259,6 @@ impl BagPlan {
             .enumerate()
             .map(|(p, keep)| {
                 let lam = &tree.lambda[p];
-                if wcoj_applies(q, lam) {
-                    return Bag::Leapfrog { keep };
-                }
                 let mut ears: Vec<Vec<usize>> = vec![Vec::new(); lam.len()];
                 if absorb_ears && lam.len() >= 2 {
                     for &o in tree.parent[p].iter().chain(&tree.children[p]) {
@@ -285,8 +276,7 @@ impl BagPlan {
                         }
                     }
                 }
-                let scans = lam
-                    .iter()
+                lam.iter()
                     .zip(ears)
                     .enumerate()
                     .map(|(i, (&atom, ears))| {
@@ -306,8 +296,7 @@ impl BagPlan {
                             keep: step,
                         }
                     })
-                    .collect();
-                Bag::Binary(scans)
+                    .collect()
             })
             .collect();
         BagPlan {
@@ -331,15 +320,9 @@ impl BagPlan {
         let q = &self.q;
         let atom = |ai: usize| &q.atoms()[ai];
         let build = |&p: &usize| -> (Bindings, usize) {
-            let scans = match &self.bags[p] {
-                Bag::Leapfrog { keep } => {
-                    return (wcoj_bag(q, db, &self.tree.lambda[p]).into_project(keep), 0)
-                }
-                Bag::Binary(scans) => scans,
-            };
             let mut ear_rows = 0;
             let mut view: Option<Bindings> = None;
-            for scan in scans {
+            for scan in &self.bags[p] {
                 let mut rows = atom_bindings_projected(atom(scan.atom), db, &scan.cols);
                 for &e in &scan.ears {
                     let before = rows.len();
@@ -398,71 +381,6 @@ impl BagPlan {
         }
         bv
     }
-}
-
-/// Does a [`BagPlan`] join this bag's λ-atoms with the leapfrog kernel?
-/// Exactly when they form a cyclic hypergraph — where a binary join order
-/// must materialize an intermediate larger than the AGM-bounded output.
-/// Acyclic bags take the fold of binary hash join-projects.
-pub fn wcoj_applies(q: &ConjunctiveQuery, lam: &[usize]) -> bool {
-    lam.len() >= 2 && {
-        let h = Hypergraph::from_edges(lam.iter().map(|&ai| {
-            q.atoms()[ai]
-                .vars()
-                .iter()
-                .map(|v| v.node())
-                .collect::<Vec<_>>()
-        }));
-        !is_acyclic(&h)
-    }
-}
-
-/// A frozen relation usable directly as a leapfrog trie for `atom`: the
-/// atom's terms are pairwise-distinct variables whose column ids ascend
-/// with position (so the page's lexicographic row order *is* the trie
-/// order), and the stored relation is frozen with a matching arity.
-fn frozen_direct<'a>(atom: &Atom, db: &'a Database) -> Option<(&'a Relation, Vec<u32>)> {
-    let mut cols = Vec::with_capacity(atom.terms.len());
-    for t in &atom.terms {
-        match t {
-            Term::Var(v) if cols.last().is_none_or(|&c| c < v.node()) => cols.push(v.node()),
-            _ => return None,
-        }
-    }
-    let rel = db.relation(&atom.rel)?;
-    (rel.arity() == cols.len() && rel.sorted_values().is_some()).then_some((rel, cols))
-}
-
-/// Joins a bag's λ-atoms with the leapfrog kernel. Atoms whose relations
-/// sit on frozen store pages in trie order are intersected *in place on the
-/// page* (zero materialization); the rest are evaluated to canonical
-/// [`Bindings`] first (which also handles constants and repeated
-/// variables).
-fn wcoj_bag(q: &ConjunctiveQuery, db: &Database, lam: &[usize]) -> Bindings {
-    enum Part<'a> {
-        Frozen(&'a Relation, Vec<u32>),
-        Materialized(Bindings),
-    }
-    let parts: Vec<Part> = lam
-        .iter()
-        .map(|&ai| {
-            let atom = &q.atoms()[ai];
-            match frozen_direct(atom, db) {
-                Some((rel, cols)) => Part::Frozen(rel, cols),
-                None => Part::Materialized(atom_bindings(atom, db)),
-            }
-        })
-        .collect();
-    let inputs: Vec<WcojInput> = parts
-        .iter()
-        .map(|part| match part {
-            Part::Frozen(rel, cols) => {
-                WcojInput::from_frozen(rel, cols).expect("frozen_direct checked trie order")
-            }
-            Part::Materialized(b) => WcojInput::from_bindings(b),
-        })
-        .collect();
-    wcoj_join(&inputs)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! small, few resources before many — and takes the *first* witness, so
 //! materializing and sorting all `Σ 2^f` bags up front (the pre-PR-5
 //! engine, kept as this module's test oracle) wastes almost all of that work.
-//! [`UnionSpace`] instead streams each universe's subsets in descending
+//! `UnionSpace` instead streams each universe's subsets in descending
 //! size via Gosper's hack (fixed-popcount masks in ascending numeric
 //! order) and merges the per-universe streams through a binary heap whose
 //! key reproduces the eager engine's sort exactly — including its
@@ -30,7 +30,7 @@
 //! the same table: a universe's only normal-form bag is the universe
 //! itself, its maximal bag, so the normal form is the same stream with every
 //! universe cut to that bag. Both searches run one width through
-//! [`search_at`], which holds the planner's spans and counters. Each width
+//! `search_at`, which holds the planner's spans and counters. Each width
 //! builds a fresh table and engine; nothing carries from one width to the
 //! next.
 

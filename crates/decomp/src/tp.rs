@@ -24,7 +24,7 @@
 //! `C` (candidates derive from the block alone), so the witness is the
 //! first success in candidate order at every level.
 //!
-//! Candidate bags are supplied by a [`CandidateSource`] (or a plain closure
+//! Candidate bags are supplied by a `CandidateSource` (or a plain closure
 //! through [`decompose`]), which is how the same engine serves tree
 //! projections w.r.t. arbitrary view sets ([`crate::ghw`]), plain treewidth
 //! ([`crate::treedec`]) and fractional hypertree width

@@ -14,7 +14,7 @@
 //!   polynomial-time core computation of Lemma 4.3 via pairwise consistency;
 //! * [`mod@color`] — `color(Q)` and `fullcolor(Q)` (Sections 3.1, 5.3);
 //! * [`starsize`] — the quantified star size of Durand–Mengel (Appendix A);
-//! * [`fingerprint`] — canonical, renaming/order-invariant query
+//! * [`mod@fingerprint`] — canonical, renaming/order-invariant query
 //!   fingerprints (the serving layer's plan-cache key).
 
 pub mod canonical;

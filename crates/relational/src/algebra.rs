@@ -415,8 +415,8 @@ impl Bindings {
     }
 
     /// Wraps rows the caller guarantees are already sorted, distinct, and
-    /// in sorted column order — the wcoj kernel emits in exactly that
-    /// order, so canonicalization is free there.
+    /// in sorted column order — the packed join-project emits in exactly
+    /// that order, so canonicalization is free there.
     pub(crate) fn from_sorted_rows(cols: Vec<Col>, rows: Vec<Tuple>) -> Bindings {
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));

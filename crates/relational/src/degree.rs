@@ -27,12 +27,6 @@ impl Bindings {
         }
         max
     }
-
-    /// Returns `true` iff `group_cols` functionally determine the remaining
-    /// columns (i.e. the degree is at most 1).
-    pub fn is_key(&self, group_cols: &[Col]) -> bool {
-        self.degree_wrt(group_cols) <= 1
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +71,7 @@ mod tests {
     fn keys() {
         // worker_id -> worker_info is a key (Example 1.5 flavour).
         let wi = b(&[1, 2], &[&[1, 100], &[2, 200], &[3, 300]]);
-        assert!(wi.is_key(&[1]));
-        assert!(!b(&[1, 2], &[&[1, 100], &[1, 200]]).is_key(&[1]));
+        assert_eq!(wi.degree_wrt(&[1]), 1);
+        assert_eq!(b(&[1, 2], &[&[1, 100], &[1, 200]]).degree_wrt(&[1]), 2);
     }
 }

@@ -23,44 +23,6 @@ pub fn positions_are_key(rel: &Relation, key: &[usize]) -> bool {
     true
 }
 
-/// All *minimal* keys of `rel` (position sets): key sets such that no
-/// proper subset is a key. Exponential in the arity, which is bounded for
-/// database schemas. An empty relation has the empty key; a relation whose
-/// tuples are all equal does too.
-pub fn minimal_keys(rel: &Relation) -> Vec<Vec<usize>> {
-    let arity = rel.arity();
-    let mut keys: Vec<Vec<usize>> = Vec::new();
-    // Breadth-first by subset size guarantees minimality by construction.
-    for size in 0..=arity {
-        let mut candidates: Vec<Vec<usize>> = Vec::new();
-        subsets_of_size(arity, size, &mut candidates);
-        for cand in candidates {
-            if keys.iter().any(|k| k.iter().all(|p| cand.contains(p))) {
-                continue; // a subset is already a key
-            }
-            if positions_are_key(rel, &cand) {
-                keys.push(cand);
-            }
-        }
-    }
-    keys
-}
-
-fn subsets_of_size(n: usize, size: usize, out: &mut Vec<Vec<usize>>) {
-    fn rec(start: usize, n: usize, size: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if cur.len() == size {
-            out.push(cur.clone());
-            return;
-        }
-        for i in start..n {
-            cur.push(i);
-            rec(i + 1, n, size, cur, out);
-            cur.pop();
-        }
-    }
-    rec(0, n, size, &mut Vec::new(), out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,7 +42,7 @@ mod tests {
         let r = rel(&[&[1, 10], &[2, 20], &[3, 10]]);
         assert!(positions_are_key(&r, &[0]));
         assert!(!positions_are_key(&r, &[1])); // 10 maps to 1 and 3
-        assert_eq!(minimal_keys(&r), vec![vec![0]]);
+        assert!(positions_are_key(&r, &[0, 1]));
     }
 
     #[test]
@@ -90,30 +52,34 @@ mod tests {
         assert!(!positions_are_key(&r, &[0]));
         assert!(!positions_are_key(&r, &[1]));
         assert!(!positions_are_key(&r, &[2]));
+        assert!(!positions_are_key(&r, &[0, 2]));
+        assert!(!positions_are_key(&r, &[1, 2]));
         assert!(positions_are_key(&r, &[0, 1]));
-        assert_eq!(minimal_keys(&r), vec![vec![0, 1]]);
+        assert!(positions_are_key(&r, &[1, 0]));
     }
 
     #[test]
     fn several_minimal_keys() {
         // both columns are keys independently
         let r = rel(&[&[1, 10], &[2, 20]]);
-        let keys = minimal_keys(&r);
-        assert!(keys.contains(&vec![0]));
-        assert!(keys.contains(&vec![1]));
-        assert_eq!(keys.len(), 2);
+        assert!(positions_are_key(&r, &[0]));
+        assert!(positions_are_key(&r, &[1]));
+        assert!(!positions_are_key(&r, &[]));
     }
 
     #[test]
     fn degenerate_cases() {
         // empty relation: the empty set is a key
         let empty = Relation::new(2);
-        assert_eq!(minimal_keys(&empty), vec![Vec::<usize>::new()]);
+        assert!(positions_are_key(&empty, &[]));
         // single tuple: empty key again
         let single = rel(&[&[5, 6]]);
-        assert_eq!(minimal_keys(&single), vec![Vec::<usize>::new()]);
+        assert!(positions_are_key(&single, &[]));
         // whole tuple needed
         let r = rel(&[&[1, 1], &[1, 2], &[2, 1]]);
-        assert_eq!(minimal_keys(&r), vec![vec![0, 1]]);
+        assert!(!positions_are_key(&r, &[]));
+        assert!(!positions_are_key(&r, &[0]));
+        assert!(!positions_are_key(&r, &[1]));
+        assert!(positions_are_key(&r, &[0, 1]));
     }
 }

@@ -21,9 +21,7 @@
 //!   hash-dominated and SipHash would be the bottleneck;
 //! * [`store`] — the immutable mmap-able page format behind O(mmap)
 //!   startup: relations freeze to sorted pages + persisted dedup index,
-//!   thaw lazily on mutation, and share regions copy-on-write;
-//! * [`wcoj`] — a leapfrog worst-case-optimal multiway join over the same
-//!   sorted order, the planner's kernel for cyclic bags.
+//!   thaw lazily on mutation, and share regions copy-on-write.
 //!
 //! Columns are opaque `u32` ids; the query crate maps variables onto them.
 
@@ -36,7 +34,6 @@ pub mod keys;
 pub mod relation;
 pub mod store;
 pub mod value;
-pub mod wcoj;
 
 pub use algebra::{Bindings, ColTerm};
 pub use database::{Database, MutationError};
@@ -44,7 +41,6 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use relation::Relation;
 pub use store::{LoadedStore, StoreError};
 pub use value::{Interner, Value};
-pub use wcoj::{wcoj_join, WcojInput};
 
 /// A column identifier (the relational engine's view of a query variable).
 pub type Col = u32;

@@ -1,6 +1,5 @@
 //! Positional relations: sets of tuples of a fixed arity.
 
-use crate::fxhash::FxHashSet;
 use crate::fxhash::FxHasher;
 use crate::store::FrozenPage;
 use crate::Value;
@@ -23,8 +22,7 @@ pub(crate) const EMPTY: u32 = u32::MAX;
 ///
 /// Heap iteration order is insertion order of the first occurrence (keeps
 /// generated workloads deterministic); frozen pages iterate in ascending
-/// lexicographic row order (the store sorts on freeze — that order is what
-/// makes a page double as a trie for the wcoj kernel).
+/// lexicographic row order (the store sorts on freeze).
 ///
 /// Deduplication uses an open-addressed table of `u32` offsets into the
 /// row array (linear probing, power-of-two capacity, ≤ 7/8 load) instead
@@ -183,8 +181,8 @@ impl Relation {
     }
 
     /// The rows in ascending lexicographic order, if this backing stores
-    /// them that way (frozen pages always do). The wcoj trie cursor and
-    /// the store writer's copy-through path rely on this.
+    /// them that way (frozen pages always do). The store writer's
+    /// copy-through path relies on this.
     pub fn sorted_values(&self) -> Option<&[Value]> {
         match &self.backing {
             Backing::Frozen(page) => Some(page.values()),
@@ -355,24 +353,6 @@ impl Relation {
         let arity = self.arity;
         (0..self.len).map(move |i| &values[i * arity..(i + 1) * arity])
     }
-
-    /// The set of values occurring anywhere in the relation (its active
-    /// domain contribution).
-    pub fn active_domain(&self) -> FxHashSet<Value> {
-        self.values().iter().copied().collect()
-    }
-
-    /// Intersection with another relation of the same arity.
-    pub fn intersect(&self, other: &Relation) -> Relation {
-        assert_eq!(self.arity, other.arity, "arity mismatch");
-        let mut out = Relation::new(self.arity);
-        for t in self.iter() {
-            if other.contains(t) {
-                out.insert(t.to_vec());
-            }
-        }
-        out
-    }
 }
 
 impl PartialEq for Relation {
@@ -425,22 +405,6 @@ mod tests {
         let c = Relation::from_rows(vec![vec![v(2)], vec![v(4)]]);
         assert_ne!(a, c);
         assert_ne!(a, Relation::from_rows(vec![vec![v(1)]]));
-    }
-
-    #[test]
-    fn intersect() {
-        let a = Relation::from_rows(vec![vec![v(1)], vec![v(2)], vec![v(3)]]);
-        let b = Relation::from_rows(vec![vec![v(2)], vec![v(3)], vec![v(4)]]);
-        let i = a.intersect(&b);
-        assert_eq!(i.len(), 2);
-        assert!(i.contains(&[v(2)]) && i.contains(&[v(3)]));
-    }
-
-    #[test]
-    fn active_domain() {
-        let r = Relation::from_rows(vec![vec![v(1), v(2)], vec![v(2), v(3)]]);
-        let dom = r.active_domain();
-        assert_eq!(dom.len(), 3);
     }
 
     #[test]

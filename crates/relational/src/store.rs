@@ -34,12 +34,12 @@
 //!   page_crc covers [data_off, align8(index_off + nslots·4)).
 //! ```
 //!
-//! Tuple pages are stored in ascending lexicographic row order, so a frozen
-//! relation doubles as a trie: every bound prefix is a contiguous row range
-//! and the wcoj kernel (see [`crate::wcoj`]) descends it with binary
-//! searches. The index page is the same open-addressed u32-offset table the
-//! heap [`Relation`] maintains (same hash, same probing), persisted as-is —
-//! membership probes work on the mapped bytes with zero rebuild cost.
+//! Tuple pages are stored in ascending lexicographic row order: heap
+//! relations are sorted on the way out, and the writer copies an already
+//! frozen page's rows through unchanged. The index page is the same
+//! open-addressed u32-offset table the heap [`Relation`] maintains (same
+//! hash, same probing), persisted as-is — membership probes work on the
+//! mapped bytes with zero rebuild cost.
 //!
 //! Integrity is CRC-based and fail-closed: header, meta and every relation
 //! page carry independent CRC-32s (same polynomial as the WAL), and any

@@ -1,11 +1,13 @@
 //! A nullary relation read off a store page has no values whether it holds
-//! the empty tuple (true) or nothing (false); the leapfrog kernel must tell
-//! the two apart by the relation's row count.
+//! the empty tuple (true) or nothing (false); scanning it as an atom must
+//! tell the two apart by the relation's row count, so that joining it is a
+//! no-op filter when true and empties the join when false.
 
-use cqcount_relational::{store, wcoj_join, Database, WcojInput};
+use cqcount_relational::{store, Bindings, ColTerm, Database};
 
-/// Rows of `p() ⋈ e(a,b)` joined over frozen pages, `p` holding the empty
-/// tuple iff `p_true`.
+/// Rows of `p() ⋈ e(X, Y)` over frozen pages, `p` holding the empty tuple
+/// iff `p_true`: each atom scanned with [`Bindings::from_atom`] (the scan
+/// under the query crate's `atom_bindings`), then joined.
 fn frozen_nullary_join_rows(p_true: bool) -> usize {
     let mut db = Database::new();
     if p_true {
@@ -18,18 +20,18 @@ fn frozen_nullary_join_rows(p_true: bool) -> usize {
     let p = loaded.db.relation("p").unwrap();
     let e = loaded.db.relation("e").unwrap();
     assert_eq!(p.len(), usize::from(p_true));
-    assert!(p.is_frozen());
-    let cols_p: [u32; 0] = [];
-    let cols_e = [0u32, 1];
-    let views = [
-        WcojInput::from_frozen(p, &cols_p).unwrap(),
-        WcojInput::from_frozen(e, &cols_e).unwrap(),
-    ];
-    wcoj_join(&views).rows().len()
+    assert!(p.is_frozen() && e.is_frozen());
+    let p_scan = Bindings::from_atom(p, &[]);
+    let e_scan = Bindings::from_atom(e, &[ColTerm::Var(0), ColTerm::Var(1)]);
+    assert_eq!(p_scan.len(), usize::from(p_true));
+    assert_eq!(e_scan.len(), 1);
+    let forward = p_scan.join(&e_scan);
+    assert_eq!(forward, e_scan.join(&p_scan), "join order must not matter");
+    forward.len()
 }
 
 #[test]
-fn frozen_arity0_wcoj() {
+fn frozen_arity0_atom_join() {
     assert_eq!(
         frozen_nullary_join_rows(true),
         1,
@@ -38,7 +40,7 @@ fn frozen_arity0_wcoj() {
 }
 
 #[test]
-fn frozen_empty_arity0_wcoj() {
+fn frozen_empty_arity0_atom_join() {
     assert_eq!(
         frozen_nullary_join_rows(false),
         0,

@@ -615,8 +615,9 @@ impl PipelinedClient {
     }
 
     /// Buffers one request and returns the id its response will carry.
-    /// Call [`flush`](PipelinedClient::flush) (or [`recv`]
-    /// (PipelinedClient::recv), which flushes first) to put it on the wire.
+    /// Call [`flush`](PipelinedClient::flush) (or
+    /// [`recv`](PipelinedClient::recv), which flushes first) to put it on
+    /// the wire.
     pub fn submit(&mut self, req: &Request) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
@@ -631,8 +632,8 @@ impl PipelinedClient {
         Ok(())
     }
 
-    /// Requests submitted but not yet answered by a [`recv`]
-    /// (PipelinedClient::recv).
+    /// Requests submitted but not yet answered by a
+    /// [`recv`](PipelinedClient::recv).
     pub fn inflight(&self) -> usize {
         self.inflight
     }

@@ -1,7 +1,6 @@
-//! The per-database durability coordinator: glues the WAL
-//! ([`crate::wal`]), snapshots ([`crate::snapshot`]), the fsync policy,
-//! and the crash/IO fault hooks ([`crate::faults`]) into the mutation
-//! path.
+//! The per-database durability coordinator: glues the WAL (`wal`),
+//! snapshots (`snapshot`), the fsync policy, and the crash/IO fault hooks
+//! ([`crate::faults`]) into the mutation path.
 //!
 //! Policy matrix (what survives a `kill -9` at each setting):
 //!
@@ -43,7 +42,7 @@ pub(crate) const BATCH_FSYNC_EVERY: u64 = 32;
 pub enum DurabilityPolicy {
     /// fsync before every acknowledgement.
     Always,
-    /// fsync once per [`BATCH_FSYNC_EVERY`] records.
+    /// fsync once per `BATCH_FSYNC_EVERY` records.
     Batch,
     /// Never fsync on the mutation path (snapshots and `SYNC` still do).
     Off,

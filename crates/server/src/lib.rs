@@ -12,7 +12,7 @@
 //! * **admission control** ([`server`]) — a bounded request queue that
 //!   answers `Overloaded` instead of buffering, plus a per-request
 //!   wall-clock budget enforced cooperatively inside the counting loops;
-//! * **an evented front end** ([`reactor`]) — `poll(2)`-driven reactor
+//! * **an evented front end** (`reactor`) — `poll(2)`-driven reactor
 //!   shards over non-blocking sockets with incremental frame decode, so
 //!   clients can pipeline requests (protocol v5 request ids); warm-hit
 //!   counting requests are answered inline on the reactor thread without

@@ -4,8 +4,9 @@
 //! place* — no reload, no epoch bump. Three layers keep counts fresh and
 //! caches honest:
 //!
-//! * **The database** absorbs the tuple edit under its [`DbState`] write
-//!   lock ([`cqcount_relational::Database::insert_tuple`] /
+//! * **The database** absorbs the tuple edit under its
+//!   [`DbState`](crate::server::DbState) write lock
+//!   ([`cqcount_relational::Database::insert_tuple`] /
 //!   [`cqcount_relational::Database::delete_tuple`]), bumping its
 //!   `mutation_seq` once per *effective* op (duplicate inserts and absent
 //!   deletes are no-ops).

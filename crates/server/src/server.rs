@@ -2,14 +2,14 @@
 //!
 //! Threading model (std-only):
 //!
-//! * `reactors` **reactor shards** (see [`crate::reactor`]) share a
+//! * `reactors` **reactor shards** (see the `reactor` module) share a
 //!   `poll(2)`-driven event loop over non-blocking sockets: shard 0 owns
 //!   the listener and deals accepted connections out round-robin; each
 //!   shard decodes frames incrementally from per-connection buffers, so a
 //!   client may **pipeline** many requests on one connection. Admin
 //!   requests (`STATS`, `RELOAD`, `FLUSH`, `METRICS`) are answered inline
 //!   so operators can observe and heal an overloaded server, and warm-hit
-//!   counting requests take the **fast path** ([`try_fast_path`]): a raw
+//!   counting requests take the **fast path** (`try_fast_path`): a raw
 //!   query-text fingerprint probe plus a count-cache peek answers on the
 //!   reactor thread with no parse, no queue, no thread handoff. Everything
 //!   else is batch-admitted onto a *bounded* queue — a full queue yields
@@ -22,7 +22,7 @@
 //!
 //! Protocol v5 frames carry request ids, so pipelined responses ship in
 //! completion order; v4 frames are answered strictly in request order via
-//! a per-connection reorder buffer (see [`crate::reactor`]).
+//! a per-connection reorder buffer (see the `reactor` module).
 //!
 //! Resilience (PR 3): connections carry read/write deadlines and idle
 //! peers are reaped; `Overloaded` errors carry a `retry_after_ms` hint;
