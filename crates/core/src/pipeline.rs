@@ -14,10 +14,16 @@
 //!    built once per prepared plan);
 //! 2. run the full reducer along the decomposition tree — on the acyclic
 //!    bag schema this achieves global consistency, so afterwards
-//!    `r_p = π_{keep(p)}(Q'^D)` exactly. A *full* query (`free(Q') =
-//!    vars(Q')`) skips this step and the next: it projects nothing away,
-//!    and the step-4 DP is exact on unreduced views (a dangling row finds
-//!    no child key and contributes 0);
+//!    `r_p = π_{keep(p)}(Q'^D)` exactly. Its upward sweep `r_p ← r_p ⋉ r_c`
+//!    runs inside step 1: the bags are built children-first, and each
+//!    bag's last join-project emits only the rows whose key its children's
+//!    views hold (a one-atom bag is semijoined with them after its scan),
+//!    so no dangling row of a bag is materialized
+//!    ([`BagPlan::upward_views`]). Only the downward sweep runs afterwards.
+//!    A *full* query (`free(Q') = vars(Q')`) skips the downward sweep and
+//!    step 3: it projects nothing away, and the step-4 DP is exact on
+//!    views only the upward sweep reduced (a dangling row finds no child
+//!    key and contributes 0);
 //! 3. project every view (and the tree) onto the free variables — because
 //!    all frontiers are covered, the projected acyclic instance's join is
 //!    exactly `π_free(Q'^D)` (each `[free]`-component of existential
@@ -46,12 +52,13 @@ pub fn count_with_decomposition(
 }
 
 /// [`count_with_decomposition`] over a count's [`BagPlan`], also returning
-/// the bag views it counted over (for their `ear_rows_dropped`).
+/// the bag views it counted over (for their `ear_rows_dropped` and
+/// `filtered_rows`).
 pub(crate) fn count_decomposed(plan: &BagPlan, db: &Database) -> (Natural, BagViews) {
-    // A full query projects nothing away, and the DP is exact on unreduced
-    // views: it skips steps 2 and 3.
+    // A full query projects nothing away, and the DP is exact on views the
+    // downward sweep has not reduced: it skips the rest of steps 2 and 3.
     let bv = if plan.query().existential().is_empty() {
-        plan.views(db)
+        plan.upward_views(db)
     } else {
         plan.free_views(db)
     };

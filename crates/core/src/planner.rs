@@ -220,6 +220,7 @@ pub fn count_prepared(
         if sp.is_armed() {
             sp.add("cols_dropped", bags.cols_dropped as u64);
             sp.add("ear_rows_dropped", bv.ear_rows_dropped as u64);
+            sp.add("filtered", bv.filtered_rows as u64);
         }
         budget.check()?;
         return Ok((n, Plan::SharpPipeline { width: sd.width }));

@@ -7,7 +7,7 @@ use cqcount_query::canonical::{atom_bindings, atom_bindings_projected};
 use cqcount_query::color::{color, uncolor};
 use cqcount_query::hom::has_homomorphism;
 use cqcount_query::ConjunctiveQuery;
-use cqcount_relational::consistency::full_reduce;
+use cqcount_relational::consistency::reduce_downward;
 use cqcount_relational::{Bindings, Database, Relation};
 
 /// A `#`-hypertree decomposition (or a `#`-decomposition w.r.t. views):
@@ -150,9 +150,9 @@ const PAR_MIN_ROWS: usize = 4096;
 /// How every vertex's view of a decomposition, completed for its query, is
 /// built: its λ-atoms are scanned in order and folded with
 /// [`Bindings::join_project`], and the plan fixes which columns each scan
-/// and join keeps and which ears each λ-scan absorbs. It reads the query
-/// alone, so a prepared plan builds it once and every count of that plan
-/// reuses it.
+/// and join keeps, which ears each λ-scan absorbs and which children filter
+/// the bag's last step. It reads the query alone, so a prepared plan builds
+/// it once and every count of that plan reuses it.
 ///
 /// [`BagPlan::textbook`] builds the textbook per-vertex relations
 /// `r_p = π_{χ(p)}(⋈_{a ∈ λ(p)} a^D)`, which the #-relations of
@@ -164,10 +164,21 @@ pub struct BagPlan {
     q: ConjunctiveQuery,
     /// The decomposition completed so every atom sits in some bag.
     pub tree: Hypertree,
-    /// Per vertex, its λ-atoms' scans in join order.
-    bags: Vec<Vec<Scan>>,
+    /// Per vertex, how its view is built.
+    bags: Vec<Bag>,
     /// Bag-local existential columns that are never materialized.
     pub cols_dropped: usize,
+}
+
+/// One vertex's build.
+#[derive(Clone, Debug)]
+struct Bag {
+    /// Its λ-atoms' scans in join order.
+    scans: Vec<Scan>,
+    /// The children whose views filter the bag's last step in
+    /// [`BagPlan::upward_views`]: every child but a leaf absorbed as an
+    /// ear, which a λ-scan already semijoined exactly.
+    filters: Vec<usize>,
 }
 
 /// One λ-atom of a bag. A scan keeps every column another λ-atom of the
@@ -193,6 +204,20 @@ pub struct BagViews {
     pub views: Vec<Bindings>,
     /// Scan rows removed by absorbed ears before any join.
     pub ear_rows_dropped: usize,
+    /// Rows removed by the children's filters while the views were built:
+    /// emitted rows of a last join-project (before its dedup), and rows of
+    /// a one-atom bag semijoined with its children. Zero for
+    /// [`BagPlan::views`].
+    pub filtered_rows: usize,
+}
+
+/// A bag's independent part: the fold of its λ-scans (the unit when there
+/// is none) and, when its last join-project waits for the children's
+/// filters, the last λ-scan, not yet folded in.
+struct Partial {
+    acc: Bindings,
+    last: Option<Bindings>,
+    ear_rows: usize,
 }
 
 impl BagPlan {
@@ -216,6 +241,8 @@ impl BagPlan {
     /// keep(p)`, and an ear removes only rows no answer extends. So after
     /// [`full_reduce`] and the projection onto `free(q)` every view is the
     /// same set as from the textbook plan. A full query keeps every `χ(p)`.
+    ///
+    /// [`full_reduce`]: cqcount_relational::consistency::full_reduce
     pub fn count(q: &ConjunctiveQuery, ht: &Hypertree) -> BagPlan {
         let tree = complete(q, ht);
         let free = q.free_nodes();
@@ -260,6 +287,7 @@ impl BagPlan {
             .map(|(p, keep)| {
                 let lam = &tree.lambda[p];
                 let mut ears: Vec<Vec<usize>> = vec![Vec::new(); lam.len()];
+                let mut absorbed = Vec::new();
                 if absorb_ears && lam.len() >= 2 {
                     for &o in tree.parent[p].iter().chain(&tree.children[p]) {
                         let &[ear] = tree.lambda[o].as_slice() else {
@@ -270,13 +298,15 @@ impl BagPlan {
                             continue;
                         }
                         if let Some(i) = lam.iter().position(|&ai| ev.is_subset(&atom_nodes[ai])) {
+                            absorbed.push(o);
                             if !ears[i].contains(&ear) {
                                 ears[i].push(ear);
                             }
                         }
                     }
                 }
-                lam.iter()
+                let scans = lam
+                    .iter()
                     .zip(ears)
                     .enumerate()
                     .map(|(i, (&atom, ears))| {
@@ -296,7 +326,15 @@ impl BagPlan {
                             keep: step,
                         }
                     })
-                    .collect()
+                    .collect();
+                // A leaf ear's view is its atom projected, and a λ-scan
+                // already kept only the rows matching that atom.
+                let filters = tree.children[p]
+                    .iter()
+                    .copied()
+                    .filter(|&c| !(absorbed.contains(&c) && tree.children[c].is_empty()))
+                    .collect();
+                Bag { scans, filters }
             })
             .collect();
         BagPlan {
@@ -312,29 +350,68 @@ impl BagPlan {
         &self.q
     }
 
-    /// Builds every vertex's view (step 1 of Theorem 3.7 for a count
-    /// plan). One independent build per tree vertex: this is the count
-    /// path's only parallel call, and only large inputs take it; results
-    /// come back in vertex order either way.
+    /// Builds every vertex's view unfiltered: step 1 of Theorem 3.7 for a
+    /// count plan, and the textbook `r_p` that [`crate::ps`] and the degree
+    /// bound read for a textbook plan. One independent build per tree
+    /// vertex, the whole fold of each bag in one `par_map` (large inputs
+    /// only); the count path reads [`BagPlan::upward_views`] instead.
     pub fn views(&self, db: &Database) -> BagViews {
+        self.build(db, false)
+    }
+
+    /// Step 1 of Theorem 3.7 with the full reducer's upward sweep run where
+    /// the rows are born. The bags are built children-first: each bag's
+    /// last join-project emits only rows whose key is in every filtering
+    /// child's view (a one-atom bag is semijoined with them after its
+    /// scan), so no dangling row of a bag is materialized. Every view is
+    /// the one [`full_reduce`]'s upward sweep leaves of [`BagPlan::views`].
+    /// A full query counts over these.
+    ///
+    /// Every bag's λ-scans, ears and join-projects but the last still run
+    /// as one independent build per tree vertex: that `par_map` is the
+    /// count path's only parallel call, and only large inputs take it.
+    ///
+    /// [`full_reduce`]: cqcount_relational::consistency::full_reduce
+    pub fn upward_views(&self, db: &Database) -> BagViews {
+        self.build(db, true)
+    }
+
+    /// Builds every view; with `filtered`, children-first with the upward
+    /// sweep fused in. Each bag's scans, ears and every join-project but
+    /// the last are independent of the other bags, and run in the
+    /// `par_map` above [`PAR_MIN_ROWS`]. A bag that no child filters joins
+    /// its last step there too; the others run it afterwards, bottom-up in
+    /// `tree.order`. Results come back in vertex order either way.
+    fn build(&self, db: &Database, filtered: bool) -> BagViews {
         let q = &self.q;
         let atom = |ai: usize| &q.atoms()[ai];
-        let build = |&p: &usize| -> (Bindings, usize) {
+        let partial = |&p: &usize| -> Partial {
+            let Bag { scans, filters } = &self.bags[p];
+            let defer = filtered && !filters.is_empty();
             let mut ear_rows = 0;
-            let mut view: Option<Bindings> = None;
-            for scan in &self.bags[p] {
+            let mut acc: Option<Bindings> = None;
+            let mut last = None;
+            for (i, scan) in scans.iter().enumerate() {
                 let mut rows = atom_bindings_projected(atom(scan.atom), db, &scan.cols);
                 for &e in &scan.ears {
                     let before = rows.len();
                     rows.semijoin_in_place(&atom_bindings(atom(e), db));
                     ear_rows += before - rows.len();
                 }
-                view = Some(match view {
+                acc = Some(match acc {
                     None => rows,
-                    Some(acc) => acc.join_project(&rows, &scan.keep),
+                    Some(acc) if defer && i + 1 == scans.len() => {
+                        last = Some(rows);
+                        acc
+                    }
+                    Some(acc) => acc.join_project(&rows, &scan.keep, &[]).0,
                 });
             }
-            (view.unwrap_or_else(Bindings::unit), ear_rows)
+            Partial {
+                acc: acc.unwrap_or_else(Bindings::unit),
+                last,
+                ear_rows,
+            }
         };
         let vertices: Vec<usize> = (0..self.tree.len()).collect();
         let lambda_rows: usize = self
@@ -344,23 +421,66 @@ impl BagPlan {
             .flatten()
             .map(|&ai| db.relation(&atom(ai).rel).map_or(0, Relation::len))
             .sum();
-        let built = if lambda_rows >= PAR_MIN_ROWS {
-            cqcount_exec::par_map(&vertices, build)
+        let partials = if lambda_rows >= PAR_MIN_ROWS {
+            cqcount_exec::par_map(&vertices, partial)
         } else {
-            vertices.iter().map(build).collect()
+            vertices.iter().map(partial).collect()
         };
-        let (views, ear_rows): (Vec<Bindings>, Vec<usize>) = built.into_iter().unzip();
+        let ear_rows_dropped = partials.iter().map(|b| b.ear_rows).sum();
+        if !filtered {
+            return BagViews {
+                views: partials.into_iter().map(|b| b.acc).collect(),
+                ear_rows_dropped,
+                filtered_rows: 0,
+            };
+        }
+        let mut partials: Vec<Option<Partial>> = partials.into_iter().map(Some).collect();
+        let mut views: Vec<Option<Bindings>> = vec![None; vertices.len()];
+        let mut filtered_rows = 0;
+        for &p in &self.tree.order {
+            let Partial { mut acc, last, .. } = partials[p].take().expect("one build per vertex");
+            let filters: Vec<&Bindings> = self.bags[p]
+                .filters
+                .iter()
+                .map(|&c| views[c].as_ref().expect("children are built first"))
+                .collect();
+            let view = match last {
+                Some(rows) => {
+                    let keep = &self.bags[p].scans.last().expect("a last scan").keep;
+                    let (view, dropped) = acc.join_project(&rows, keep, &filters);
+                    filtered_rows += dropped;
+                    view
+                }
+                None => {
+                    for child in filters {
+                        let before = acc.len();
+                        acc.semijoin_in_place(child);
+                        filtered_rows += before - acc.len();
+                    }
+                    acc
+                }
+            };
+            views[p] = Some(view);
+        }
         BagViews {
-            views,
-            ear_rows_dropped: ear_rows.into_iter().sum(),
+            views: views
+                .into_iter()
+                .map(|v| v.expect("`tree.order` lists every vertex"))
+                .collect(),
+            ear_rows_dropped,
+            filtered_rows,
         }
     }
 
-    /// Steps 1–2 of Theorem 3.7: [`BagPlan::views`] reduced to global
-    /// consistency with the full reducer.
+    /// Steps 1–2 of Theorem 3.7: [`BagPlan::upward_views`], whose build ran
+    /// the full reducer's upward sweep, completed by its downward sweep
+    /// ([`reduce_downward`]). Each view is the one [`full_reduce`] leaves
+    /// of [`BagPlan::views`].
+    ///
+    /// [`full_reduce`]: cqcount_relational::consistency::full_reduce
     pub fn reduced_views(&self, db: &Database) -> BagViews {
-        let mut bv = self.views(db);
-        full_reduce(&mut bv.views, &self.tree.parent, &self.tree.order);
+        let mut bv = self.upward_views(db);
+        reduce_downward(&mut bv.views, &self.tree.parent, &self.tree.order);
         bv
     }
 

@@ -3,17 +3,23 @@
 //! semijoins one-atom ears into a bag's λ-scans before the join; after the
 //! full reducer and the projection onto the free variables, every view
 //! must be the very set that the textbook `r_p = π_χ(p)(⋈ λ(p))` gives
-//! (`BagPlan::textbook` → `full_reduce` → project). These tests hold it to that on
-//! chain, cyclic, Q0, constant, repeated-variable, nullary, empty and
-//! cross-product shapes, heap-backed and loaded from a store image, at one
-//! and two lanes, and hold every count to brute force on a small instance
-//! and to the full join on one whose bags cross the parallel gate.
+//! (`BagPlan::textbook` → `full_reduce` → project). The bags are built
+//! children-first with the reducer's upward sweep fused into each bag's
+//! last step, so `reduced_views` runs only the downward sweep: its views
+//! must equal `full_reduce` over the unfiltered `views`, vertex by vertex.
+//! These tests hold both to that on chain, cyclic, Q0, constant,
+//! repeated-variable, nullary, empty and cross-product shapes, heap-backed
+//! and loaded from a store image, at one and two lanes, and hold every
+//! count to brute force on a small instance and to the full join on one
+//! whose bags cross the parallel gate.
 
 use cqcount_arith::prng::Rng;
 use cqcount_arith::Natural;
+use cqcount_core::acyclic::count_over_tree;
 use cqcount_core::prelude::*;
 use cqcount_exec::with_threads;
 use cqcount_query::{parse_database, parse_query, ConjunctiveQuery};
+use cqcount_relational::consistency::full_reduce;
 use cqcount_relational::store::{encode_store, open_store};
 use cqcount_relational::{Bindings, Database};
 use cqcount_workloads::intro::{intro_instance, IntroScale};
@@ -24,10 +30,16 @@ fn free_cols(q: &ConjunctiveQuery) -> Vec<u32> {
     q.free().iter().map(|v| v.node()).collect()
 }
 
+/// `plan`'s unfiltered views reduced by the two-sweep full reducer.
+fn full_reduced(plan: &BagPlan, db: &Database) -> Vec<Bindings> {
+    let mut views = plan.views(db).views;
+    full_reduce(&mut views, &plan.tree.parent, &plan.tree.order);
+    views
+}
+
 /// Steps 1–3 the textbook way, over the same completed tree.
 fn textbook_free_views(sd: &SharpDecomposition, db: &Database) -> Vec<Bindings> {
-    let plan = BagPlan::textbook(&sd.qprime, &sd.hypertree);
-    let views = plan.reduced_views(db).views;
+    let views = full_reduced(&BagPlan::textbook(&sd.qprime, &sd.hypertree), db);
     let free = free_cols(&sd.qprime);
     views.iter().map(|v| v.project(&free)).collect()
 }
@@ -69,7 +81,8 @@ impl Instances {
 }
 
 /// Checks `src` on both instances, heap-backed and store-loaded, at one and
-/// two lanes: the count's free views equal the textbook ones, and the count
+/// two lanes: the count's reduced views equal the full reducer over its
+/// unfiltered ones, its free views equal the textbook ones, and the count
 /// equals the oracle. Returns what the large heap-backed count built.
 fn check(src: &str, inst: &Instances) -> Built {
     let q: ConjunctiveQuery = parse_query(src).unwrap();
@@ -99,14 +112,27 @@ fn check_on(
         for threads in [1, 2] {
             let at = format!("{src} on {backing} at {threads} lanes");
             let plan = BagPlan::count(&sd.qprime, &sd.hypertree);
-            let (reduced, free, textbook, n) = with_threads(threads, || {
+            let (reduced, full, free, textbook, n) = with_threads(threads, || {
                 (
                     plan.reduced_views(db),
+                    full_reduced(&plan, db),
                     plan.free_views(db),
                     textbook_free_views(sd, db),
                     count_with_decomposition(&sd.qprime, db, &sd.hypertree),
                 )
             });
+            assert_eq!(reduced.views, full, "{at}: fused against two sweeps");
+            if sd.qprime.existential().is_empty() {
+                // A full query counts over the views of the fused build.
+                let upward = with_threads(threads, || plan.upward_views(db)).views;
+                let tree = &plan.tree;
+                let m = if upward.iter().any(Bindings::is_empty) {
+                    Natural::ZERO
+                } else {
+                    count_over_tree(&upward, &tree.parent, &tree.children, &tree.order)
+                };
+                assert_eq!(m, expected, "{at}: count over the filtered views");
+            }
             let projected: Vec<Bindings> = reduced
                 .views
                 .iter()
@@ -279,4 +305,38 @@ fn full_queries_keep_every_column() {
     assert_eq!(built.cols_dropped, 0, "a full query drops nothing");
     let n = count_via_full_join(&parse_query(src).unwrap(), &chains.large.1);
     assert!(!n.is_zero(), "the chain instance must have answers");
+}
+
+#[test]
+fn the_triangle_root_bag_builds_no_dangling_wedge() {
+    // A seeded 2 000-edge graph: the root bag {X, Y, Z} joins two λ-atoms
+    // into wedges, and its child e(Z, X) closes few of them. The bag the
+    // count builds must hold exactly the rows of its fully reduced view.
+    let mut rng = Rng::seed_from_u64(0x7A1);
+    let mut text = String::new();
+    pairs(&mut text, &mut rng, "e", 2000, (150, 150));
+    let db = parse_database(&text).unwrap();
+    let q = parse_query("ans(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).").unwrap();
+    let (_, sd) = WidthSearch::new(&q).find_up_to(2).expect("width 2");
+    let plan = BagPlan::count(&sd.qprime, &sd.hypertree);
+    let root = *plan.tree.roots.first().expect("a root");
+    assert_eq!(plan.tree.lambda[root].len(), 2, "the root bag joins");
+    let built = plan.upward_views(&db);
+    let reduced = full_reduced(&plan, &db);
+    let wedges = plan.views(&db).views[root].len();
+    assert_eq!(built.views[root], reduced[root], "the root bag is reduced");
+    assert!(
+        !reduced[root].is_empty(),
+        "the instance must have triangles"
+    );
+    assert!(
+        wedges > 10 * reduced[root].len(),
+        "{wedges} wedges against {} triangles: the instance has no dangling wedges",
+        reduced[root].len()
+    );
+    assert!(built.filtered_rows >= wedges - reduced[root].len());
+    assert_eq!(
+        count_with_decomposition(&sd.qprime, &db, &sd.hypertree),
+        count_via_full_join(&q, &db)
+    );
 }

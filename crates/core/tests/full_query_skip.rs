@@ -1,10 +1,11 @@
-//! A full query (every variable free) counts without the full reducer:
-//! the join-tree DP is exact on unreduced bag views, because a dangling
-//! row finds no child key and contributes 0. These tests hold that path
+//! A full query (every variable free) counts without the full reducer's
+//! downward sweep: the join-tree DP is exact on views that only the bag
+//! build's fused upward sweep reduced, because a dangling row finds no
+//! child key and contributes 0. These tests hold that path
 //! to brute force and the full-join oracle on instances where every bag
 //! holds dangling rows, and check from the span tree that a full count
-//! runs no semijoin while a projected one runs both reducer sweeps (and
-//! one semijoin per absorbed ear).
+//! runs only the upward sweep the bag build fuses in, while a projected
+//! one also runs the downward sweep (and one semijoin per absorbed ear).
 
 use cqcount_arith::prng::Rng;
 use cqcount_arith::Natural;
@@ -16,8 +17,8 @@ use std::fmt::Write;
 
 /// Counts `q` through its `#`-hypertree decomposition and checks it
 /// against brute force and the full join. With `all_dangle`, also checks
-/// that every bag view loses rows to the full reducer — so the count
-/// really ran over unreduced views.
+/// that every textbook bag view loses rows to the full reducer — so the
+/// instance holds a dangling row in every bag.
 fn check(src: &str, db: &Database, all_dangle: bool) -> Natural {
     let q = parse_query(src).unwrap();
     assert!(q.existential().is_empty(), "{src} must be a full query");
@@ -110,48 +111,113 @@ fn full_cyclic_queries_with_dangling_rows_in_every_bag() {
     }
 }
 
+/// What one traced count ran, and the shape of its completed tree.
+struct Traced {
+    /// `algebra.semijoin` spans.
+    semijoins: usize,
+    /// The rows they removed.
+    semijoin_dropped: u64,
+    /// The `filtered` counters of the `algebra.join` spans, summed.
+    join_filtered: u64,
+    /// The rows the child filters removed, as `BagPlan::upward_views`
+    /// reports them.
+    filtered_rows: u64,
+    bags: usize,
+    roots: usize,
+    /// Tree edges whose parent has at most one λ-atom: such a bag is
+    /// semijoined with its children after its scan, not in a join.
+    scan_edges: usize,
+}
+
 /// Counts `q` with its decomposition computed outside the trace session,
-/// returning how many `algebra.semijoin` spans the count emitted, the
-/// number of bags in the completed tree and its number of roots.
-fn traced_semijoins(src: &str, db: &Database) -> (usize, usize, usize) {
+/// and reads what the count ran off the span tree.
+fn traced(src: &str, db: &Database) -> Traced {
     let q = parse_query(src).unwrap();
     let sd = sharp_hypertree_decomposition(&q, 1)
         .or_else(|| sharp_hypertree_decomposition(&q, 2))
         .expect("width ≤ 2");
-    let tree = BagPlan::count(&sd.qprime, &sd.hypertree).tree;
+    let plan = BagPlan::count(&sd.qprime, &sd.hypertree);
+    let filtered_rows = plan.upward_views(db).filtered_rows as u64;
+    let tree = plan.tree;
     let _session = trace::TraceSession::begin();
     let root = trace::span("test.count");
     let id = root.id();
     let n = count_with_decomposition(&sd.qprime, db, &sd.hypertree);
     drop(root);
     assert_eq!(n, count_brute_force(&q, db), "{src}");
-    let semijoins = trace::collect(id)
+    let records = trace::collect(id);
+    let counter = |r: &trace::SpanRecord, key: &str| {
+        r.counters
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map_or(0, |&(_, v)| v)
+    };
+    let semijoins: Vec<_> = records
         .iter()
         .filter(|r| r.name == "algebra.semijoin")
-        .count();
-    let roots = tree.parent.iter().filter(|p| p.is_none()).count();
-    (semijoins, tree.len(), roots)
+        .collect();
+    Traced {
+        semijoins: semijoins.len(),
+        semijoin_dropped: semijoins
+            .iter()
+            .map(|r| counter(r, "rows_left") - counter(r, "rows_out"))
+            .sum(),
+        join_filtered: records
+            .iter()
+            .filter(|r| r.name == "algebra.join")
+            .map(|r| counter(r, "filtered"))
+            .sum(),
+        filtered_rows,
+        bags: tree.len(),
+        roots: tree.parent.iter().filter(|p| p.is_none()).count(),
+        scan_edges: tree
+            .parent
+            .iter()
+            .flatten()
+            .filter(|&&p| tree.lambda[p].len() <= 1)
+            .count(),
+    }
 }
 
 #[test]
-fn full_counts_skip_the_reducer_and_projected_counts_run_both_sweeps() {
+fn full_counts_run_no_downward_sweep_and_projected_counts_run_one() {
+    // The bag build runs the reducer's upward sweep: a bag of two or more
+    // λ-atoms filters its last join by its children, which shows as the
+    // join's `filtered` counter and opens no span, and a one-atom bag is
+    // semijoined with its children after its scan, one span per tree edge
+    // below it. Nothing else semijoins in a full count.
     let chain = db_of(
         "r(a1, b1). r(a2, b2). r(a3, b9).
          s(b1, c1). s(b2, c2). s(b7, c1).
          t(c1, d1). t(c2, d2). t(c8, d1).",
     );
     let tri = graph(10, 30, 7);
-    for (src, db) in [
-        ("ans(A, B, C, D) :- r(A, B), s(B, C), t(C, D).", &chain),
-        ("ans(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).", &tri),
+    for (src, db, fused) in [
+        (
+            "ans(A, B, C, D) :- r(A, B), s(B, C), t(C, D).",
+            &chain,
+            false,
+        ),
+        ("ans(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).", &tri, true),
     ] {
-        let (semijoins, bags, _) = traced_semijoins(src, db);
-        assert!(bags >= 2, "{src}: a one-bag tree proves nothing");
-        assert_eq!(semijoins, 0, "{src}: a full count ran the reducer");
+        let t = traced(src, db);
+        assert!(t.bags >= 2, "{src}: a one-bag tree proves nothing");
+        assert_eq!(
+            t.semijoins, t.scan_edges,
+            "{src}: a full count ran a downward semijoin"
+        );
+        assert_eq!(
+            t.join_filtered + t.semijoin_dropped,
+            t.filtered_rows,
+            "{src}: every filtered row is counted once"
+        );
+        assert!(t.filtered_rows > 0, "{src}: no dangling row to filter");
+        assert_eq!(t.join_filtered > 0, fused, "{src}: filters fused in a join");
     }
-    // `ans(A, C)` over the unary `t` builds one {r, s} bag, and the one-atom
-    // bag t(C) beside it is an ear: its semijoin into the s-scan comes on
-    // top of the reducer's.
+    // A projected count then runs the downward sweep: one semijoin per
+    // tree edge. `ans(A, C)` over the unary `t` builds one {r, s} bag, and
+    // the one-atom bag t(C) beside it is an ear: its semijoin into the
+    // s-scan comes on top, and it filters nothing again.
     let ear = db_of(
         "r(a1, b1). r(a2, b2). r(a3, b9).
          s(b1, c1). s(b2, c2). s(b7, c1). s(b2, c3).
@@ -163,13 +229,13 @@ fn full_counts_skip_the_reducer_and_projected_counts_run_both_sweeps() {
         ("ans(X) :- e(X, Y), e(Y, Z), e(Z, X).", &tri, 0),
         ("ans(A, C) :- r(A, B), s(B, C), t(C).", &ear, 1),
     ] {
-        let (semijoins, bags, roots) = traced_semijoins(src, db);
-        assert!(bags >= 2, "{src}: a one-bag tree proves nothing");
-        assert_eq!(roots, 1, "{src}: the completed tree is connected");
+        let t = traced(src, db);
+        assert!(t.bags >= 2, "{src}: a one-bag tree proves nothing");
+        assert_eq!(t.roots, 1, "{src}: the completed tree is connected");
         assert_eq!(
-            semijoins,
-            2 * (bags - 1) + ears,
-            "{src}: one per tree edge and sweep, and one per ear"
+            t.semijoins,
+            t.scan_edges + (t.bags - 1) + ears,
+            "{src}: one downward semijoin per tree edge, and one per ear"
         );
     }
 }

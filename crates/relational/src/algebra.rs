@@ -25,11 +25,19 @@
 //! `sort_unstable` + `dedup` of those integers is then the canonical row
 //! order, whatever order the hash probe produced them in, and they unpack
 //! into tuples once per distinct row. Wider outputs are canonicalized as
-//! tuples. [`Bindings::join`] is the same kernel keeping every column.
+//! tuples. The join-project also takes *filters*: views whose keys on the
+//! kept columns each output row must hit, so `π_keep(l ⋈ r) ⋉ f₁ ⋉ … ⋉ fₙ`
+//! is one pass. Each filter is hashed once, the way a semijoin hashes its
+//! probe side, and each matched pair reads its filter keys straight off
+//! the two input rows, so a row a filter drops is never built, sorted or
+//! deduplicated. This is how a bag's build runs the full reducer's upward
+//! sweep (`cqcount_core::sharp::BagPlan::upward_views`).
+//! [`Bindings::join`] is the same kernel keeping every column, with no
+//! filter.
 //!
 //! Semijoins hash the probe side's key once, and each kept-side row is a
 //! single set lookup. The in-place form [`Bindings::semijoin_in_place`]
-//! `retain`s the matching rows, so the full reducer shrinks views without
+//! `retain`s the matching rows, so the reducer shrinks views without
 //! copying a row. Every kernel runs sequentially on the calling thread:
 //! counting parallelizes across decomposition bags (`cqcount_core::sharp`),
 //! never inside one operator, so there is no chunking and nothing to
@@ -129,24 +137,86 @@ fn project_traced(src: Cow<'_, Bindings>, keep: &[Col]) -> Bindings {
     out
 }
 
-/// Packs up to four key values into one integer: a `Value` is a `u32`, so
-/// four fit a `u128` exactly and the packing is injective for a fixed key
-/// width.
-#[inline]
-fn pack_key(row: &[Value], positions: &[usize]) -> u128 {
-    positions
-        .iter()
-        .fold(0, |key, &p| (key << 32) | u128::from(row[p].0))
+/// Positions in `a` / `b` (both ascending) of the columns they share.
+fn shared_positions(a: &[Col], b: &[Col]) -> (Vec<usize>, Vec<usize>) {
+    let mut left = Vec::new();
+    let mut right = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                left.push(i);
+                right.push(j);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    (left, right)
 }
 
-/// The probe side of a semijoin, hashed once on its shared-column key.
+/// Packs up to four values, the `k`-th being `value(k)`, into one
+/// integer: a `Value` is a `u32`, so four fit a `u128` exactly and the
+/// packing is injective for a fixed width. The first value takes the
+/// highest bits, so integer order is lexicographic order.
+#[inline]
+fn pack(width: usize, value: impl Fn(usize) -> Value) -> u128 {
+    (0..width).fold(0, |key, k| (key << 32) | u128::from(value(k).0))
+}
+
+/// [`pack`] of the values of `row` at `positions`.
+#[inline]
+fn pack_key(row: &[Value], positions: &[usize]) -> u128 {
+    pack(positions.len(), |k| row[positions[k]])
+}
+
+/// One side of a semijoin or a join filter, hashed once on its key.
 enum KeySet {
-    /// No shared columns: a left row matches iff the probe side is nonempty.
+    /// No key columns: a row matches iff the side is nonempty.
     Disjoint(bool),
-    /// At most four shared columns, packed by [`pack_key`].
+    /// At most four key columns, packed by [`pack_key`].
     Packed(FxHashSet<u128>),
     /// Wider keys, materialized exactly.
     Wide(FxHashSet<Tuple>),
+}
+
+impl KeySet {
+    /// Hashes the keys of `side` at `positions`.
+    fn of(side: &Bindings, positions: &[usize]) -> KeySet {
+        if positions.is_empty() {
+            KeySet::Disjoint(!side.is_empty())
+        } else if positions.len() <= 4 {
+            let mut set = FxHashSet::default();
+            let mut last = None;
+            for row in &side.rows {
+                // Equal keys sit side by side when the key is a row prefix.
+                let key = pack_key(row, positions);
+                if last.replace(key) != Some(key) {
+                    set.insert(key);
+                }
+            }
+            KeySet::Packed(set)
+        } else {
+            KeySet::Wide(
+                side.rows
+                    .iter()
+                    .map(|r| positions.iter().map(|&p| r[p]).collect())
+                    .collect(),
+            )
+        }
+    }
+
+    /// Does the key of `width` values, the `k`-th being `value(k)`, occur?
+    #[inline]
+    fn contains(&self, width: usize, value: impl Fn(usize) -> Value) -> bool {
+        match self {
+            KeySet::Disjoint(nonempty) => *nonempty,
+            KeySet::Packed(set) => set.contains(&pack(width, value)),
+            KeySet::Wide(set) => set.contains(&(0..width).map(value).collect::<Tuple>()),
+        }
+    }
 }
 
 /// A semijoin's probe plan: the key positions on the kept side and the
@@ -166,32 +236,10 @@ impl SemijoinProbe {
             sp.add("rows_left", left.rows.len() as u64);
             sp.add("rows_right", right.rows.len() as u64);
         }
-        let (lpos, rpos) = left.shared_positions(right);
-        let keys = if lpos.is_empty() {
-            KeySet::Disjoint(!right.is_empty())
-        } else if lpos.len() <= 4 {
-            let mut set = FxHashSet::default();
-            let mut last = None;
-            for row in &right.rows {
-                // Equal keys sit side by side when the key is a row prefix.
-                let key = pack_key(row, &rpos);
-                if last.replace(key) != Some(key) {
-                    set.insert(key);
-                }
-            }
-            KeySet::Packed(set)
-        } else {
-            KeySet::Wide(
-                right
-                    .rows
-                    .iter()
-                    .map(|r| rpos.iter().map(|&p| r[p]).collect())
-                    .collect(),
-            )
-        };
+        let (lpos, rpos) = shared_positions(&left.cols, &right.cols);
         SemijoinProbe {
+            keys: KeySet::of(right, &rpos),
             lpos,
-            keys,
             probes: left.rows.len(),
             sp,
         }
@@ -209,13 +257,7 @@ impl SemijoinProbe {
     /// Does `row`'s key occur on the probe side?
     #[inline]
     fn matches(&self, row: &[Value]) -> bool {
-        match &self.keys {
-            KeySet::Disjoint(nonempty) => *nonempty,
-            KeySet::Packed(set) => set.contains(&pack_key(row, &self.lpos)),
-            KeySet::Wide(set) => {
-                set.contains(&self.lpos.iter().map(|&p| row[p]).collect::<Tuple>())
-            }
-        }
+        self.keys.contains(self.lpos.len(), |k| row[self.lpos[k]])
     }
 }
 
@@ -271,6 +313,37 @@ impl JoinEmit {
     }
 }
 
+/// A filter of a join-project: which kept output columns its key reads,
+/// and its rows hashed once on that key.
+struct JoinFilter {
+    /// Output column index (into [`JoinEmit::from`]) per key column.
+    at: Vec<usize>,
+    keys: KeySet,
+}
+
+impl JoinFilter {
+    /// The filters that can drop an emitted row: a nonempty filter sharing
+    /// no kept column keeps every row, so it is left out.
+    fn plan(emit: &JoinEmit, filters: &[&Bindings]) -> Vec<JoinFilter> {
+        filters
+            .iter()
+            .filter_map(|f| {
+                let (at, fpos) = shared_positions(&emit.cols, &f.cols);
+                let keys = KeySet::of(f, &fpos);
+                (!matches!(keys, KeySet::Disjoint(true))).then_some(JoinFilter { at, keys })
+            })
+            .collect()
+    }
+
+    /// Does the output row of the pair `(brow, prow)` match the filter?
+    /// The key is read off the pair, before the row is built.
+    #[inline]
+    fn keeps(&self, emit: &JoinEmit, brow: &[Value], prow: &[Value]) -> bool {
+        self.keys
+            .contains(self.at.len(), |k| emit.value(self.at[k], brow, prow))
+    }
+}
+
 /// A join's output rows as they are emitted: packed into one `u128` each
 /// when at most four columns are kept, else as tuples.
 enum Emitted {
@@ -287,13 +360,18 @@ impl Emitted {
         }
     }
 
+    fn len(&self) -> usize {
+        match self {
+            Emitted::Packed(keys) => keys.len(),
+            Emitted::Wide(rows) => rows.len(),
+        }
+    }
+
     #[inline]
     fn push(&mut self, emit: &JoinEmit, brow: &[Value], prow: &[Value]) {
         let n = emit.from.len();
         match self {
-            Emitted::Packed(keys) => keys.push((0..n).fold(0, |key, k| {
-                (key << 32) | u128::from(emit.value(k, brow, prow).0)
-            })),
+            Emitted::Packed(keys) => keys.push(pack(n, |k| emit.value(k, brow, prow))),
             Emitted::Wide(rows) => rows.push((0..n).map(|k| emit.value(k, brow, prow)).collect()),
         }
     }
@@ -531,43 +609,38 @@ impl Bindings {
         self.rows.binary_search_by(|t| t.as_ref().cmp(row)).is_ok()
     }
 
-    /// Positions in `self.cols` / `other.cols` of the shared columns.
-    fn shared_positions(&self, other: &Bindings) -> (Vec<usize>, Vec<usize>) {
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.cols.len() && j < other.cols.len() {
-            match self.cols[i].cmp(&other.cols[j]) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    left.push(i);
-                    right.push(j);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        (left, right)
-    }
-
     /// Natural join `self ⋈ other`: [`Bindings::join_project`] keeping
-    /// every column.
+    /// every column, with no filter.
     pub fn join(&self, other: &Bindings) -> Bindings {
-        self.join_keeping(other, None)
+        self.join_keeping(other, None, &[]).0
     }
 
-    /// Join-project `π_keep(self ⋈ other)` in one pass (columns of `keep`
-    /// present on neither side are ignored). The smaller side is grouped by
-    /// its shared-column key, the larger side streams through the groups,
-    /// and each matched pair emits only its kept columns, so a column the
-    /// caller drops is never materialized. The rows come back canonical
+    /// Join-project `π_keep(self ⋈ other) ⋉ f₁ ⋉ … ⋉ fₙ` in one pass
+    /// (columns of `keep` present on neither side are ignored). The smaller
+    /// side is grouped by its shared-column key, the larger side streams
+    /// through the groups, and each matched pair emits only its kept
+    /// columns, so a column the caller drops is never materialized. Each
+    /// filter is hashed once on the kept columns it shares, and a pair
+    /// whose key misses one emits nothing. The rows come back canonical
     /// whatever the hash order.
-    pub fn join_project(&self, other: &Bindings, keep: &[Col]) -> Bindings {
-        self.join_keeping(other, Some(keep))
+    ///
+    /// Also returns how many emitted rows the filters dropped, counted
+    /// before the kept-column dedup.
+    pub fn join_project(
+        &self,
+        other: &Bindings,
+        keep: &[Col],
+        filters: &[&Bindings],
+    ) -> (Bindings, usize) {
+        self.join_keeping(other, Some(keep), filters)
     }
 
-    fn join_keeping(&self, other: &Bindings, keep: Option<&[Col]>) -> Bindings {
+    fn join_keeping(
+        &self,
+        other: &Bindings,
+        keep: Option<&[Col]>,
+        filters: &[&Bindings],
+    ) -> (Bindings, usize) {
         let sp = obs::trace::span("algebra.join");
         if sp.is_armed() {
             sp.add("rows_left", self.rows.len() as u64);
@@ -579,16 +652,22 @@ impl Bindings {
         } else {
             (other, self)
         };
-        let (bpos, ppos) = build.shared_positions(probe);
+        let (bpos, ppos) = shared_positions(&build.cols, &probe.cols);
         let emit = JoinEmit::new(&build.cols, &probe.cols, keep);
+        let filters = JoinFilter::plan(&emit, filters);
         let mut out = Emitted::new(emit.from.len());
+        let mut push = |b: &[Value], p: &[Value]| {
+            if filters.iter().all(|f| f.keeps(&emit, b, p)) {
+                out.push(&emit, b, p);
+            }
+        };
         let pairs = if bpos.len() <= 4 {
             hash_join(
                 build,
                 probe,
                 |r| pack_key(r, &bpos),
                 |r| pack_key(r, &ppos),
-                |b, p| out.push(&emit, b, p),
+                &mut push,
             )
         } else {
             let key = |r: &[Value], pos: &[usize]| -> Tuple { pos.iter().map(|&i| r[i]).collect() };
@@ -597,16 +676,18 @@ impl Bindings {
                 probe,
                 |r| key(r, &bpos),
                 |r| key(r, &ppos),
-                |b, p| out.push(&emit, b, p),
+                &mut push,
             )
         };
+        let filtered = pairs as usize - out.len();
         let out = out.finish(emit.cols);
         if sp.is_armed() {
             sp.add("pairs", pairs);
+            sp.add("filtered", filtered as u64);
             sp.add("rows_out", out.rows.len() as u64);
             sp.add("bytes_out", bytes_of(&out));
         }
-        out
+        (out, filtered)
     }
 
     /// Semijoin `self ⋉ other = π_{cols(self)}(self ⋈ other)`.
@@ -782,7 +863,7 @@ mod tests {
     /// kernel: hashes a materialized `Vec<Value>` key per row into a per-call
     /// table, then permutes each output row through a column order.
     fn join_hash_baseline(left: &Bindings, right: &Bindings) -> Bindings {
-        let (lpos, rpos) = left.shared_positions(right);
+        let (lpos, rpos) = shared_positions(&left.cols, &right.cols);
         let key_of = |row: &Tuple, positions: &[usize]| -> Vec<Value> {
             positions.iter().map(|&p| row[p]).collect()
         };
@@ -828,7 +909,7 @@ mod tests {
     /// shared key (identity when the key is a prefix) and binary-searches
     /// it once per row of `left`.
     fn semijoin_sort_probe(left: &Bindings, right: &Bindings) -> Bindings {
-        let (lpos, rpos) = left.shared_positions(right);
+        let (lpos, rpos) = shared_positions(&left.cols, &right.cols);
         if lpos.is_empty() {
             let rows = if right.is_empty() {
                 vec![]
@@ -1188,14 +1269,55 @@ mod tests {
     fn assert_join_parity(l: &Bindings, r: &Bindings, keep: &[Col]) {
         let joined = join_hash_baseline(l, r);
         let expect = joined.project(keep);
-        let got = l.join_project(r, keep);
+        let (got, filtered) = l.join_project(r, keep, &[]);
         assert_eq!(got, expect, "{l:?} ⋈ {r:?} kept to {keep:?}");
-        assert_eq!(r.join_project(l, keep), expect, "swapped sides");
+        assert_eq!(filtered, 0, "no filter drops nothing");
+        assert_eq!(r.join_project(l, keep, &[]).0, expect, "swapped sides");
         assert_eq!(l.join(r), joined, "join of {l:?} ⋈ {r:?}");
         for threads in [1, 2, 8] {
-            let again = cqcount_exec::with_threads(threads, || l.join_project(r, keep));
+            let again = cqcount_exec::with_threads(threads, || l.join_project(r, keep, &[]).0);
             assert_eq!(again.rows(), got.rows(), "rerun at {threads} lanes");
         }
+    }
+
+    /// `join_project` with `filters`, in both argument orders, against
+    /// `join_project` without them followed by `semijoin_in_place` per
+    /// filter; its `filtered` count against the matched pairs whose kept
+    /// row a filter drops. Every result is also computed again at 1, 2 and
+    /// 8 lanes and must come back row for row the same.
+    /// Returns the rows filtered.
+    fn assert_filtered_join_parity(
+        l: &Bindings,
+        r: &Bindings,
+        keep: &[Col],
+        filters: &[&Bindings],
+    ) -> usize {
+        let mut expect = l.join_project(r, keep, &[]).0;
+        for f in filters {
+            expect.semijoin_in_place(f);
+        }
+        // Each row of the full join is one matched pair.
+        let pairs = join_hash_baseline(l, r);
+        let at = pairs.keep_positions(keep);
+        let dropped = pairs
+            .rows()
+            .iter()
+            .filter(|row| !expect.contains(&at.iter().map(|&p| row[p]).collect::<Vec<_>>()))
+            .count();
+        let at = format!("{l:?} ⋈ {r:?} kept to {keep:?}, filtered by {filters:?}");
+        let (got, filtered) = l.join_project(r, keep, filters);
+        assert_eq!(got, expect, "{at}");
+        assert_eq!(filtered, dropped, "{at}: rows filtered");
+        assert_eq!(
+            r.join_project(l, keep, filters),
+            (expect, dropped),
+            "{at}: swapped sides"
+        );
+        for threads in [1, 2, 8] {
+            let again = cqcount_exec::with_threads(threads, || l.join_project(r, keep, filters).0);
+            assert_eq!(again.rows(), got.rows(), "{at}: rerun at {threads} lanes");
+        }
+        filtered
     }
 
     /// `width` shared columns, and three private columns on either side
@@ -1263,8 +1385,8 @@ mod tests {
                 assert_join_parity(&x, &side, keep);
             }
         }
-        assert_eq!(x.join_project(&unit, &[2, 3]), x.project(&[2, 3]));
-        assert_eq!(unit.join_project(&unit, &[]), unit);
+        assert_eq!(x.join_project(&unit, &[2, 3], &[]).0, x.project(&[2, 3]));
+        assert_eq!(unit.join_project(&unit, &[], &[]).0, unit);
         assert_join_parity(&unit, &unit, &[]);
         // Heavy duplicate keys: thousands of rows over a two-value domain,
         // against a small side and against an equally large one, at a
@@ -1280,13 +1402,102 @@ mod tests {
     }
 
     #[test]
+    fn filtered_join_project_matches_join_then_semijoins() {
+        use cqcount_arith::prng::Rng;
+        let cases = if cfg!(feature = "exhaustive-tests") {
+            60
+        } else {
+            6
+        };
+        let mut rng = Rng::seed_from_u64(0xF117);
+        let (mut filtered, mut runs) = (0, 0);
+        // Join key widths 0..=5 and kept widths 1..=6 as above; 0, 1 and 2
+        // filters, each one of: no rows, no shared column, exactly the
+        // kept columns (a wide filter key at 5 and 6), or a random part of
+        // them beside a column of its own.
+        for width in 0..=5u32 {
+            let (lcols, rcols) = join_sides(width);
+            let mut all: Vec<Col> = lcols.iter().chain(&rcols).copied().collect();
+            all.sort_unstable();
+            all.dedup();
+            for kept in 1..=6 {
+                for n_filters in 0..=2 {
+                    for _ in 0..cases {
+                        let mut keep = all.clone();
+                        for i in (1..keep.len()).rev() {
+                            keep.swap(i, rng.range_usize(0, i + 1));
+                        }
+                        keep.truncate(kept);
+                        let domain = rng.range_u32(1, 4);
+                        let filters: Vec<Bindings> = (0..n_filters)
+                            .map(|_| {
+                                let (cols, rows) = match rng.range_usize(0, 4) {
+                                    0 => (keep.clone(), 0),
+                                    1 => (vec![500, 501], rng.range_usize(1, 4)),
+                                    2 => (keep.clone(), rng.range_usize(1, 40)),
+                                    _ => {
+                                        let mut cols: Vec<Col> = keep
+                                            .iter()
+                                            .copied()
+                                            .filter(|_| rng.chance(0.6))
+                                            .collect();
+                                        cols.push(502);
+                                        (cols, rng.range_usize(1, 40))
+                                    }
+                                };
+                                random_bindings(&mut rng, &cols, rows, domain)
+                            })
+                            .collect();
+                        let filters: Vec<&Bindings> = filters.iter().collect();
+                        let (ln, rn) = (rng.range_usize(0, 40), rng.range_usize(0, 40));
+                        let l = random_bindings(&mut rng, &lcols, ln, domain);
+                        let r = random_bindings(&mut rng, &rcols, rn, domain);
+                        let dropped = assert_filtered_join_parity(&l, &r, &keep, &filters);
+                        filtered += usize::from(dropped > 0);
+                        runs += usize::from(n_filters > 0);
+                    }
+                }
+            }
+        }
+        // Filters drop rows in some runs and not in others.
+        assert!(0 < filtered && filtered < runs, "{filtered} of {runs}");
+    }
+
+    #[test]
+    fn filtered_join_project_on_heavy_keys_and_unit() {
+        use cqcount_arith::prng::Rng;
+        let mut rng = Rng::seed_from_u64(0xF11E);
+        // Thousands of pairs over a two-value domain, a filter on one side's
+        // column and one reading both sides, at a packed and a wide key.
+        for width in [0u32, 1, 5] {
+            let (lcols, rcols) = join_sides(width);
+            let l = random_bindings(&mut rng, &lcols, 300, 2);
+            let r = random_bindings(&mut rng, &rcols, 300, 2);
+            let keep = [0, 1, 100, 101];
+            let one = random_bindings(&mut rng, &[0], 1, 2);
+            let both = random_bindings(&mut rng, &[0, 1, 101], 3, 2);
+            assert!(assert_filtered_join_parity(&l, &r, &keep, &[&one]) > 0);
+            assert_filtered_join_parity(&l, &r, &keep, &[&one, &both]);
+        }
+        // A zero-column join keeps the unit row unless a filter is empty.
+        let unit = Bindings::unit();
+        let some = b(&[1], &[&[1]]);
+        let none = Bindings::empty(vec![1]);
+        assert_eq!(unit.join_project(&unit, &[], &[&some]), (unit.clone(), 0));
+        assert_eq!(
+            unit.join_project(&unit, &[], &[&none]),
+            (Bindings::empty(vec![]), 1)
+        );
+    }
+
+    #[test]
     fn join_span_counts_pairs_and_rows() {
         let l = b(&[1, 2], &[&[1, 10], &[2, 10], &[3, 20]]);
         let r = b(&[2, 3], &[&[10, 100], &[10, 101], &[30, 300]]);
         let _session = obs::trace::TraceSession::begin();
         let root = obs::trace::span("test.join");
         let id = root.id();
-        let out = l.join_project(&r, &[3]);
+        let out = l.join_project(&r, &[3], &[]).0;
         drop(root);
         assert_eq!(out, b(&[3], &[&[100], &[101]]));
         let records = obs::trace::collect(id);

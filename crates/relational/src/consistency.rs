@@ -61,8 +61,7 @@ fn pair_mut(views: &mut [Bindings], target: usize, probe: usize) -> (&mut Bindin
 }
 
 /// Full reducer over a rooted join forest: one upward sweep (parents
-/// semijoined with children, bottom-up) and one downward sweep (children
-/// semijoined with parents, top-down).
+/// semijoined with children, bottom-up) and then [`reduce_downward`].
 ///
 /// `parent[i]` is the parent of vertex `i` (`None` for roots) and `order`
 /// must list children before parents (as produced by
@@ -70,6 +69,10 @@ fn pair_mut(views: &mut [Bindings], target: usize, probe: usize) -> (&mut Bindin
 /// globally consistent. Counting a *full* join along the same tree does
 /// not need it — the join-tree DP is exact on unreduced views, a dangling
 /// row simply finds no child key — but projecting a view does.
+///
+/// The count path (`cqcount_core::sharp::BagPlan`) runs the upward sweep
+/// while it builds the views, as filters of each bag's last join, and
+/// calls [`reduce_downward`] alone afterwards.
 pub fn full_reduce(views: &mut [Bindings], parent: &[Option<usize>], order: &[usize]) {
     assert_eq!(views.len(), parent.len());
     assert_eq!(views.len(), order.len());
@@ -80,7 +83,16 @@ pub fn full_reduce(views: &mut [Bindings], parent: &[Option<usize>], order: &[us
             parent_view.semijoin_in_place(child);
         }
     }
-    // Downward: process parents before children.
+    reduce_downward(views, parent, order);
+}
+
+/// The full reducer's downward sweep: every child semijoined with its
+/// parent, parents first (`order` lists children before parents, as for
+/// [`full_reduce`]). On views every parent of which is already
+/// semijoined with its children, bottom-up, it completes the full reducer.
+pub fn reduce_downward(views: &mut [Bindings], parent: &[Option<usize>], order: &[usize]) {
+    assert_eq!(views.len(), parent.len());
+    assert_eq!(views.len(), order.len());
     for &v in order.iter().rev() {
         if let Some(p) = parent[v] {
             let (child, parent_view) = pair_mut(views, v, p);

@@ -8,7 +8,10 @@
 //! * the rows and columns of the textbook bag views `r_p = π_χ(p)(⋈ λ(p))`
 //!   (`BagPlan::textbook`) against those the count builds (`BagPlan::count`), which
 //!   drop bag-local existential columns and absorb one-atom ears before
-//!   the join.
+//!   the join;
+//! * the rows the count keeps once each bag's last step is filtered by its
+//!   children (`BagPlan::upward_views`, the reducer's upward sweep run
+//!   while the bags are built).
 //!
 //! Every count is checked against `count_via_full_join`, and against
 //! brute force on the same shapes at 1/100 of the size.
@@ -135,10 +138,13 @@ fn main() {
     let full = dbs(scale);
     let small = dbs(scale / 100.0);
 
-    println!("scale {scale}; best of 5 `count_prepared`; bag rows / columns: textbook → count");
     println!(
-        "{:<14} {:<50} {:>9} {:>10} {:>21} {:>9} {:>8}",
-        "workload", "query", "ms", "answers", "rows", "cols", "ears"
+        "scale {scale}; best of 5 `count_prepared`; bag rows / columns: textbook → count; \
+         rows kept after the children's filters"
+    );
+    println!(
+        "{:<14} {:<50} {:>9} {:>10} {:>21} {:>9} {:>8} {:>9}",
+        "workload", "query", "ms", "answers", "rows", "cols", "ears", "kept"
     );
     for (shape, src) in queries() {
         let q = parse_query(&src).unwrap();
@@ -159,11 +165,13 @@ fn main() {
         assert_eq!(n, count_via_full_join(&q, db), "{src}: full join");
 
         let textbook = BagPlan::textbook(&sd.qprime, &sd.hypertree).views(db);
-        let built = BagPlan::count(&sd.qprime, &sd.hypertree).views(db);
+        let bags = BagPlan::count(&sd.qprime, &sd.hypertree);
+        let built = bags.views(db);
         let (rows_before, cols_before) = rows_and_cols(&textbook.views);
         let (rows_after, cols_after) = rows_and_cols(&built.views);
+        let (kept, _) = rows_and_cols(&bags.upward_views(db).views);
         println!(
-            "{shape:<14} {src:<50} {:>9.1} {n:>10} {:>21} {:>9} {:>8}",
+            "{shape:<14} {src:<50} {:>9.1} {n:>10} {:>21} {:>9} {:>8} {kept:>9}",
             best.as_secs_f64() * 1e3,
             format!("{rows_before} → {rows_after}"),
             format!("{cols_before} → {cols_after}"),
